@@ -2,7 +2,7 @@
 
 Commands: eval, table, simulate, verify-series, verify-measures, cross-check.
 Widths are accepted only as exact rational strings ("1/6", "0.25"), never as
-binary floats, so exact mode never inherits parser rounding.  Exit codes:
+binary floats, so the exact path never inherits parser rounding.  Exit codes:
 0 success, 2 usage or domain error, 3 verification failure.
 """
 
@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import genseries, measures, montecarlo, scanprob
 from .exactnum import DomainError, format_rational
 
-SCHEMA = 1
+SCHEMA = 2
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -32,6 +32,17 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"not an exact rational: {text!r}") from exc
+
+
+def parse_list(text: str, item=parse_rational) -> list:
+    """A comma-separated list read item by item; a malformed item raises DomainError."""
+    out = []
+    for s in text.split(","):
+        try:
+            out.append(item(s))
+        except ValueError as exc:
+            raise DomainError(f"malformed list {text!r}: bad item {s!r}") from exc
+    return out
 
 
 def _emit_json(payload: dict) -> None:
@@ -55,18 +66,16 @@ def _emit_csv(rows: list[dict]) -> None:
 
 
 def _cmd_eval(args) -> int:
-    query = scanprob.ScanQuery(_KINDS[args.stat], args.N, parse_rational(args.w), args.mode)
+    query = scanprob.ScanQuery(_KINDS[args.stat], args.N, parse_rational(args.w))
     value = scanprob.evaluate(query)
-    exact = scanprob.evaluate(scanprob.ScanQuery(query.kind, query.N, query.w, "exact"))
     payload = {
         "command": "eval",
         "stat": args.stat,
         "N": args.N,
         "w": format_rational(query.w),
-        "mode": args.mode,
-        "p": format_rational(exact.p),
+        "p": format_rational(value.p),
         "p_float": float(value.p),
-        "survival": format_rational(exact.survival),
+        "survival": format_rational(value.survival),
         "regime": value.regime.value,
         "active_terms": value.active_terms,
     }
@@ -80,8 +89,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    n_list = [int(s) for s in args.N.split(",")]
-    w_grid = [parse_rational(s) for s in args.w.split(",")]
+    n_list = parse_list(args.N, int)
+    w_grid = parse_list(args.w)
     rows = scanprob.tabulate(_KINDS[args.stat], n_list, w_grid)
     if args.format == "json":
         _emit_json({"command": "table", "rows": rows})
@@ -92,8 +101,7 @@ def _cmd_table(args) -> int:
 
 def _cmd_simulate(args) -> int:
     config = montecarlo.SimConfig(args.N, args.k, args.samples, args.seed, args.streams)
-    w_grid = [float(parse_rational(s)) for s in args.w.split(",")]
-    estimates = montecarlo.empirical_cdf(config, args.kind, w_grid)
+    estimates = montecarlo.empirical_cdf(config, args.kind, parse_list(args.w))
     rows = [vars(e) for e in estimates]
     for row in rows:
         row.update(N=args.N, k=args.k, kind=args.kind, seed=args.seed, streams=args.streams)
@@ -202,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stat", choices=sorted(_KINDS), required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--w", required=True, help='exact rational width, e.g. "1/6" or "0.25"')
-    p.add_argument("--mode", choices=["exact", "float"], default="exact")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(fn=_cmd_eval)
 
@@ -249,9 +256,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (DomainError, scanprob.VerificationError) as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY if isinstance(exc, scanprob.VerificationError) else EXIT_USAGE
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

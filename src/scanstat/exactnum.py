@@ -11,6 +11,7 @@ conventions the closed-form evaluators rely on:
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -38,10 +39,9 @@ def binom_ext(n: int, m) -> Fraction:
 
 
 def pow_int(base, e: int):
-    """base**e for integer e, defining 0**0 == 1.
+    """base**e for an exact base and integer e, defining 0**0 == 1.
 
-    Works for Fraction (exact) and float operands alike; only 0 raised to a
-    negative power is rejected.
+    Only 0 raised to a negative power is rejected.
     """
     if e < 0 and base == 0:
         raise DomainError(f"0 cannot be raised to the negative power {e}")
@@ -51,5 +51,18 @@ def pow_int(base, e: int):
 
 
 def format_rational(value: Fraction) -> str:
-    """Serialize exactly as "p" or "p/q" (never rounded)."""
-    return str(Fraction(value))
+    """Serialize exactly as "p" or "p/q" (never rounded), however many digits.
+
+    CPython caps int-to-str conversion at 4300 digits by default; the cap is
+    lifted for this one conversion only, because exact CDF values at N in the
+    thousands exceed it.
+    """
+    value = Fraction(value)
+    if not hasattr(sys, "set_int_max_str_digits"):  # interpreters without the cap
+        return str(value)
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(saved)

@@ -117,7 +117,11 @@ def empirical_cdf(config: SimConfig, kind: str, w_grid) -> list[CdfEstimate]:
     """One sampling pass; counts W <= w for every grid value at once."""
     if kind not in ("linear", "circular"):
         raise DomainError(f"kind must be 'linear' or 'circular', got {kind!r}")
-    grid = np.asarray(sorted(float(w) for w in w_grid))
+    widths = sorted(w_grid)
+    bad = [w for w in widths if not 0 <= w <= 1]
+    if bad:
+        raise DomainError(f"w must lie in [0, 1], got {bad[0]}")
+    grid = np.asarray([float(w) for w in widths])
     counts = np.zeros(len(grid), dtype=np.int64)
     children = np.random.SeedSequence(config.seed).spawn(config.streams)
     for size, child in zip(_stream_sizes(config.samples, config.streams), children):

@@ -1,4 +1,4 @@
-"""Exact CDFs of the three scan-statistic families, with float twins.
+"""Exact CDFs of the three scan-statistic families.
 
 For N points uniform on the unit interval or circle, W(k) / W_c(k) is the
 smallest window containing k of them, and the CDFs evaluated here are
@@ -11,12 +11,8 @@ Below the saturation threshold each survival probability is a finite signed
 binomial sum over the active floor(1/w)-indexed pieces; `binom_ext` silently
 kills out-of-range terms, and the only negative exponent that can survive the
 binomial gate is a single -1 whose base is provably nonzero in the valid
-regime.  Exact mode is the source of truth; float mode runs the identical
-term sequence in float64 (piece selection and regime decisions still use the
-exact rational w, so a float cannot land on the wrong polynomial piece) and
-is validated against exact mode -- the alternating binomial sums are
-cancellation-prone and the artifact measures that error rather than hiding
-it.
+regime.  Every value is an exact rational; a float is only ever reported as
+float(p), which is correctly rounded.
 
 A second, independent pathway to the same numbers normalizes the closed-form
 measures by the free simplex volume (measure_to_probability); classical
@@ -31,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .exactnum import DomainError, binom_ext, pow_int
+from .exactnum import DomainError, binom_ext, format_rational, pow_int
 from .measures import a_closed, b_closed, c_closed
 
 
@@ -51,29 +47,17 @@ class ScanQuery:
     kind: ScanKind
     N: int
     w: Fraction
-    mode: str = "exact"
 
     def __post_init__(self):
-        if self.N < 3:
-            raise DomainError(f"N must be >= 3, got {self.N}")
-        w = Fraction(self.w)
-        if not 0 <= w <= 1:
-            raise DomainError(f"w must lie in [0, 1], got {w}")
-        object.__setattr__(self, "w", w)
-        if self.mode not in ("exact", "float"):
-            raise DomainError(f"mode must be 'exact' or 'float', got {self.mode!r}")
+        object.__setattr__(self, "w", _validate(self.N, self.w))
 
 
 @dataclass
 class ProbValue:
-    p: Fraction | float
-    survival: Fraction | float
+    p: Fraction
+    survival: Fraction
     regime: Regime
     active_terms: int
-
-    @property
-    def exact(self) -> bool:
-        return isinstance(self.p, Fraction)
 
 
 def threshold(kind: ScanKind, N: int) -> Fraction:
@@ -85,41 +69,35 @@ def threshold(kind: ScanKind, N: int) -> Fraction:
     return Fraction(2, N - 2)
 
 
-def _validate(N: int, w) -> Fraction:
-    if N < 3:
-        raise DomainError(f"N must be >= 3, got {N}")
+def _validate(N: int, w, n_min: int = 3) -> Fraction:
+    """The one domain check on (N, w): N >= n_min and 0 <= w <= 1; returns w exactly."""
+    if N < n_min:
+        raise DomainError(f"N must be >= {n_min}, got {N}")
     w = Fraction(w)
     if not 0 <= w <= 1:
         raise DomainError(f"w must lie in [0, 1], got {w}")
     return w
 
 
-def _finish(terms: list, sign: int, mode: str, leading_unit: bool = False) -> ProbValue:
-    active = sum(1 for t in terms if t != 0)
-    if mode == "float":
-        if leading_unit and sign == 1:
-            # terms[0] == 1 exactly, so the complement 1 - sum(terms) is just
-            # -sum(terms[1:]): no 1 - (1 - eps) cancellation for tiny p
-            p = -math.fsum(float(t) for t in terms[1:])
-            return ProbValue(p, 1.0 - p, Regime.BELOW_THRESHOLD, active)
-        survival = sign * math.fsum(float(t) for t in terms)
-        return ProbValue(1.0 - survival, survival, Regime.BELOW_THRESHOLD, active)
+def _finish(terms: list, sign: int) -> ProbValue:
     survival = sign * sum(terms, Fraction(0))
-    return ProbValue(1 - survival, survival, Regime.BELOW_THRESHOLD, active)
+    return ProbValue(1 - survival, survival, Regime.BELOW_THRESHOLD, sum(1 for t in terms if t != 0))
 
 
-def _saturated(mode: str) -> ProbValue:
-    one = 1.0 if mode == "float" else Fraction(1)
-    return ProbValue(one, one * 0, Regime.SATURATED, 0)
+def _saturated() -> ProbValue:
+    return ProbValue(Fraction(1), Fraction(0), Regime.SATURATED, 0)
 
 
-def _pc_nm1_terms(N: int, w, p_max: int) -> list:
+def _zero() -> ProbValue:
+    return ProbValue(Fraction(0), Fraction(1), Regime.BELOW_THRESHOLD, 0)
+
+
+def _pc_nm1_terms(N: int, w: Fraction, p_max: int) -> list:
     u = 1 - w
     lead = 1 - N * u
     if lead == 0:
         raise DomainError("degenerate p=0 term: 1 - N(1-w) vanished")
-    # the p = 0 term is lead * lead**-1 == 1 identically (its two factors
-    # cancel); emitting the simplified value keeps the float path exact there
+    # the p = 0 term is lead * lead**-1 == 1 identically (its two factors cancel)
     terms = [Fraction(1)]
     for p in range(1, p_max + 1):
         c = binom_ext(N, p)
@@ -129,22 +107,26 @@ def _pc_nm1_terms(N: int, w, p_max: int) -> list:
     return terms
 
 
-def pc_nm1(N: int, w, mode: str = "exact", _force_p_max: int | None = None) -> ProbValue:
+def pc_nm1(N: int, w) -> ProbValue:
     """P(W_c(N-1) <= w): the circular near-complete window CDF."""
     w = _validate(N, w)
     if w >= threshold(ScanKind.PC_NM1, N):
-        return _saturated(mode)
-    p_max = _force_p_max if _force_p_max is not None else math.floor(1 / (1 - w))
-    wf = float(w) if mode == "float" else w
-    return _finish(_pc_nm1_terms(N, wf, p_max), 1, mode, leading_unit=True)
+        return _saturated()
+    return _finish(_pc_nm1_terms(N, w, math.floor(1 / (1 - w))), 1)
 
 
-def _pc_3_terms(N: int, w, p_max: int) -> list:
+def _last_p(N: int, p_max: int) -> int:
+    # every binomial C(N, 3p-N+d), d in {-1, 0, 1}, vanishes once 3p-N-1 > N,
+    # so the three-point loops end there however large floor(1/w) is
+    return min(p_max, (2 * N + 1) // 3)
+
+
+def _pc_3_terms(N: int, w: Fraction, p_max: int) -> list:
     terms = [pow_int(2 - N * w, N - 1)]
     half = binom_ext(N, Fraction(N, 2))
     if half:
         terms.append(half * (N * w - 3) * pow_int(1 - N * w / 2, N - 2) / 2)
-    for p in range(math.ceil(Fraction(N + 1, 2)), p_max + 1):
+    for p in range(math.ceil(Fraction(N + 1, 2)), _last_p(N, p_max) + 1):
         c = binom_ext(N, 3 * p - N)
         if not c:
             continue
@@ -156,25 +138,22 @@ def _pc_3_terms(N: int, w, p_max: int) -> list:
     return terms
 
 
-def pc_3(N: int, w, mode: str = "exact", _force_p_max: int | None = None) -> ProbValue:
+def pc_3(N: int, w) -> ProbValue:
     """P(W_c(3) <= w): the circular three-point window CDF."""
     w = _validate(N, w)
     if w >= threshold(ScanKind.PC_3, N):
-        return _saturated(mode)
+        return _saturated()
     if w == 0:
-        zero = 0.0 if mode == "float" else Fraction(0)
-        return ProbValue(zero, zero + 1, Regime.BELOW_THRESHOLD, 0)
-    p_max = _force_p_max if _force_p_max is not None else math.floor(1 / w)
-    wf = float(w) if mode == "float" else w
-    return _finish(_pc_3_terms(N, wf, p_max), (-1) ** (N - 1), mode)
+        return _zero()
+    return _finish(_pc_3_terms(N, w, math.floor(1 / w)), (-1) ** (N - 1))
 
 
-def _p_lin_3_terms(N: int, w, p_max: int) -> list:
+def _p_lin_3_terms(N: int, w: Fraction, p_max: int) -> list:
     terms = []
     half = binom_ext(N, Fraction(N, 2))
     if half:
         terms.append(-2 * half * pow_int(1 - (Fraction(N, 2) - 1) * w, N) / (N + 2))
-    for p in range(math.ceil(Fraction(N + 1, 2)), p_max + 1):
+    for p in range(math.ceil(Fraction(N + 1, 2)), _last_p(N, p_max) + 1):
         for d, cf in ((-1, 1), (0, -2), (1, 1)):
             m = 3 * p - N + d
             c = binom_ext(N, m)
@@ -184,19 +163,16 @@ def _p_lin_3_terms(N: int, w, p_max: int) -> list:
     return terms
 
 
-def p_lin_3(N: int, w, mode: str = "exact", _force_p_max: int | None = None) -> ProbValue:
+def p_lin_3(N: int, w) -> ProbValue:
     """P(W(3) <= w): the linear three-point window CDF."""
     w = _validate(N, w)
     if N > 4 and w >= threshold(ScanKind.P_3, N):
-        return _saturated(mode)
+        return _saturated()
     if N == 4 and w == 1:
-        return _saturated(mode)  # threshold 2/(N-2) = 1 reached at the domain edge
+        return _saturated()  # threshold 2/(N-2) = 1 reached at the domain edge
     if w == 0:
-        zero = 0.0 if mode == "float" else Fraction(0)
-        return ProbValue(zero, zero + 1, Regime.BELOW_THRESHOLD, 0)
-    p_max = _force_p_max if _force_p_max is not None else math.floor(1 / w) + 1
-    wf = float(w) if mode == "float" else w
-    return _finish(_p_lin_3_terms(N, wf, p_max), (-1) ** (N - 1), mode)
+        return _zero()
+    return _finish(_p_lin_3_terms(N, w, math.floor(1 / w) + 1), (-1) ** (N - 1))
 
 
 _EVALUATORS = {
@@ -207,7 +183,7 @@ _EVALUATORS = {
 
 
 def evaluate(query: ScanQuery) -> ProbValue:
-    return _EVALUATORS[query.kind](query.N, query.w, query.mode)
+    return _EVALUATORS[query.kind](query.N, query.w)
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +226,7 @@ def measure_to_probability(kind: ScanKind, N: int, w) -> ProbValue:
 
 def range_linear_cdf(N: int, w) -> Fraction:
     """P(sample range <= w) = N w^(N-1) - (N-1) w^N."""
-    w = Fraction(w)
-    _check_baseline_args(N, w)
+    w = _validate(N, w, n_min=2)
     return N * w ** (N - 1) - (N - 1) * w**N
 
 
@@ -261,8 +236,7 @@ def arc_containment_cdf(N: int, w) -> Fraction:
     Full inclusion-exclusion over uncovered gaps; collapses to N w^(N-1) for
     w <= 1/2.
     """
-    w = Fraction(w)
-    _check_baseline_args(N, w)
+    w = _validate(N, w, n_min=2)
     total = Fraction(0)
     for j in range(1, N + 1):
         gap = 1 - j * (1 - w)
@@ -274,23 +248,14 @@ def arc_containment_cdf(N: int, w) -> Fraction:
 
 def min_gap_linear_cdf(N: int, w) -> Fraction:
     """P(min spacing of N points on the interval <= w) = 1 - (1-(N-1)w)_+^N."""
-    w = Fraction(w)
-    _check_baseline_args(N, w)
+    w = _validate(N, w, n_min=2)
     return 1 - max(Fraction(0), 1 - (N - 1) * w) ** N
 
 
 def min_gap_circular_cdf(N: int, w) -> Fraction:
     """P(min circular spacing <= w) = 1 - (1-Nw)_+^(N-1)."""
-    w = Fraction(w)
-    _check_baseline_args(N, w)
+    w = _validate(N, w, n_min=2)
     return 1 - max(Fraction(0), 1 - N * w) ** (N - 1)
-
-
-def _check_baseline_args(N: int, w: Fraction) -> None:
-    if N < 2:
-        raise DomainError(f"baselines require N >= 2, got {N}")
-    if not 0 <= w <= 1:
-        raise DomainError(f"w must lie in [0, 1], got {w}")
 
 
 BASELINES = {
@@ -313,43 +278,25 @@ def baseline_cdf(name: str, N: int, w) -> Fraction:
 # Tabulation
 # ---------------------------------------------------------------------------
 
-FLOAT_MATCH_RTOL = 1e-10
-FLOAT_MATCH_FLOOR = 1e-8
+def tabulate(kind: ScanKind, N_list, w_grid) -> list[dict]:
+    """Rows of (kind, N, w, p_exact, p_float, regime, active_terms, error).
 
-
-class VerificationError(RuntimeError):
-    """An internal consistency contract failed (float/exact divergence)."""
-
-
-def tabulate(kind: ScanKind, N_list, w_grid, mode: str = "both") -> list[dict]:
-    """Rows of (kind, N, w, p_exact, p_float, regime, active_terms).
-
-    Exact and float columns must agree to FLOAT_MATCH_RTOL relative wherever
-    |p| > FLOAT_MATCH_FLOOR; a violation raises VerificationError.  Evaluator
-    domain errors are recorded on the offending row instead of propagating.
+    p_float is float(p_exact), correctly rounded.  Evaluator domain errors are
+    recorded on the offending row instead of propagating.
     """
     rows = []
     for N in N_list:
         for w in w_grid:
-            row = {"kind": kind.value, "N": N, "w": str(Fraction(w))}
+            row = {"kind": kind.value, "N": N, "w": format_rational(w)}
             try:
-                exact = _EVALUATORS[kind](N, w, "exact")
+                value = _EVALUATORS[kind](N, w)
                 row.update(
-                    p_exact=str(exact.p),
-                    p_float=float(exact.p),
-                    regime=exact.regime.value,
-                    active_terms=exact.active_terms,
+                    p_exact=format_rational(value.p),
+                    p_float=float(value.p),
+                    regime=value.regime.value,
+                    active_terms=value.active_terms,
                     error="",
                 )
-                if mode == "both":
-                    approx = _EVALUATORS[kind](N, w, "float")
-                    row["p_float"] = approx.p
-                    rel = abs(approx.p - float(exact.p)) / max(float(exact.p), FLOAT_MATCH_FLOOR)
-                    row["float_rel_err"] = rel
-                    if float(exact.p) > FLOAT_MATCH_FLOOR and rel > FLOAT_MATCH_RTOL:
-                        raise VerificationError(
-                            f"float/exact divergence {rel:.3e} at kind={kind.value} N={N} w={w}"
-                        )
             except DomainError as exc:
                 row.update(p_exact="", p_float=float("nan"), regime="error", active_terms=0, error=str(exc))
             rows.append(row)
@@ -359,6 +306,12 @@ def tabulate(kind: ScanKind, N_list, w_grid, mode: str = "both") -> list[dict]:
 # ---------------------------------------------------------------------------
 # Piece-boundary continuity at floor(1/w) jumps
 # ---------------------------------------------------------------------------
+
+_TERMS = {
+    ScanKind.PC_NM1: _pc_nm1_terms,
+    ScanKind.PC_3: _pc_3_terms,
+    ScanKind.P_3: _p_lin_3_terms,
+}
 
 
 def floor_boundary_gap(kind: ScanKind, N: int, j: int) -> Fraction:
@@ -374,12 +327,8 @@ def floor_boundary_gap(kind: ScanKind, N: int, j: int) -> Fraction:
         w = Fraction(1, j)
     if not 0 < w < threshold(kind, N):
         raise DomainError(f"junction w={w} outside the valid regime")
-    if kind is ScanKind.PC_NM1:
-        hi, lo = j, j - 1
-    elif kind is ScanKind.PC_3:
-        hi, lo = j, j - 1
-    else:
-        hi, lo = j + 1, j
-    with_term = _EVALUATORS[kind](N, w, "exact", _force_p_max=hi)
-    without = _EVALUATORS[kind](N, w, "exact", _force_p_max=lo)
+    hi = j + 1 if kind is ScanKind.P_3 else j
+    sign = 1 if kind is ScanKind.PC_NM1 else (-1) ** (N - 1)
+    with_term = _finish(_TERMS[kind](N, w, hi), sign)
+    without = _finish(_TERMS[kind](N, w, hi - 1), sign)
     return with_term.p - without.p

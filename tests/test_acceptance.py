@@ -4,10 +4,14 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; every tolerance is pinned here, nothing is deferred.
 """
 
+import contextlib
+import io
+import json
 import math
 import time
 from fractions import Fraction
 
+import scanstat.cli as cli
 import scanstat.genseries as gs
 import scanstat.measures as ms
 import scanstat.montecarlo as mc
@@ -201,15 +205,32 @@ def test_criterion_8_pathway_equivalence():
 
 
 def test_criterion_9_float_exact_consistency():
-    worst = 0.0
+    # every p_float that eval and table print on the sweep grid is the exact
+    # value rounded once to float64
+    t0 = time.time()
+    w_arg = ",".join(str(w) for w in GRID_51)
+    n_arg = ",".join(str(N) for N in N_SWEEP)
+    rows = 0
     for kind in ScanKind:
+        for row in _cli_json("table", "--stat", kind.value, "--N", n_arg, "--w", w_arg)["rows"]:
+            assert row["p_float"] == float(F(row["p_exact"])), row
+            rows += 1
         for N in N_SWEEP:
             for w in GRID_51:
-                exact = float(sp._EVALUATORS[kind](N, w, "exact").p)
-                if exact <= 1e-8:
-                    continue
-                approx = sp._EVALUATORS[kind](N, w, "float").p
-                rel = abs(approx - exact) / exact
-                worst = max(worst, rel)
-                assert rel <= 1e-10, (kind, N, w, rel)
-    _announce(9, f"float64 within 1e-10 relative of exact on the sweep grid (worst {worst:.2e})")
+                out = _cli_json("eval", "--stat", kind.value, "--N", str(N), "--w", str(w))
+                assert out["p_float"] == float(F(out["p"])), out
+                rows += 1
+    elapsed = time.time() - t0
+    _announce(9, f"p_float == float(exact) on all {rows} eval and table rows of the sweep grid ({elapsed:.0f}s)")
+
+
+_PARSER = cli.build_parser()
+
+
+def _cli_json(*argv) -> dict:
+    # cli.main's dispatch, with the parser built once for the 5700 calls
+    args = _PARSER.parse_args([*argv, "--format", "json"])
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert args.fn(args) == cli.EXIT_OK
+    return json.loads(buf.getvalue())

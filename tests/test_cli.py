@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 import scanstat.cli as cli
-from scanstat.exactnum import DomainError
+from scanstat.exactnum import DomainError, format_rational
+from scanstat.scanprob import pc_nm1
 from scanstat.report import Report
 
 
@@ -24,7 +25,7 @@ class TestEval:
         code, out, _ = run(capsys, "eval", "--stat", "pc-3", "--N", "10", "--w", "1/5", "--format", "json")
         assert code == 0
         payload = json.loads(out)
-        assert payload["schema"] == 1
+        assert payload["schema"] == 2
         assert payload["p"] == "1"
         assert payload["regime"] == "saturated"
 
@@ -41,7 +42,15 @@ class TestEval:
     def test_float_mode(self, capsys):
         code, out, _ = run(capsys, "eval", "--stat", "p-3", "--N", "3", "--w", "3/5", "--format", "json")
         assert code == 0
-        assert json.loads(out)["p_float"] == pytest.approx(0.648)
+        assert json.loads(out)["p_float"] == float(Fraction(81, 125))
+
+    def test_exact_value_past_the_str_digit_limit(self, capsys):
+        # p has over 4300 digits a part, CPython's default str(int) cap
+        code, out, err = run(capsys, "eval", "--stat", "pc-nm1", "--N", "3000", "--w", "1/1000")
+        assert code == 0, err
+        p = next(line for line in out.splitlines() if line.strip().startswith("P = "))
+        assert p.split()[2] == format_rational(pc_nm1(3000, Fraction(1, 1000)).p)
+        assert len(p) > 2 * 4300
 
 
 class TestErrors:
@@ -64,6 +73,28 @@ class TestErrors:
             cli.main(["eval", "--stat", "bogus", "--N", "3", "--w", "1/2"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("table", "--stat", "p-3", "--N", "3,,5", "--w", "1/5"),
+            ("table", "--stat", "p-3", "--N", "3.5", "--w", "1/5"),
+            ("table", "--stat", "p-3", "--N", "3", "--w", "1/5,"),
+            ("simulate", "--kind", "linear", "--N", "5", "--k", "3", "--w", "1/4,x"),
+        ],
+    )
+    def test_malformed_list_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: malformed list") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("w", ["2", "1/4,-1/4", "1/4,3/2"])
+    def test_simulate_width_outside_unit_interval(self, capsys, w):
+        code, _, err = run(capsys, "simulate", "--kind", "circular", "--N", "4", "--k", "3", "--w", w,
+                           "--samples", "100")
+        assert code == 2
+        assert "w must lie in [0, 1]" in err
+
     def test_verification_failure_exits_3(self, capsys):
         failing = Report("demo")
         failing.add("broken", False, detail="nope")
@@ -78,6 +109,11 @@ class TestTable:
         assert lines[0].startswith("kind,N,w")
         assert "5/32" in lines[1]
         assert "1/2" in lines[2]
+
+    def test_float_column_is_rounded_exact(self, capsys):
+        code, out, _ = run(capsys, "table", "--stat", "p-3", "--N", "3", "--w", "1/5")
+        assert code == 0
+        assert out.splitlines()[1] == "p-3,3,1/5,13/125,0.104,below_threshold,2,"
 
     def test_json_round_trip(self, capsys):
         code, out, _ = run(capsys, "table", "--stat", "pc-3", "--N", "4,5", "--w", "1/5,1/2", "--format", "json")
