@@ -6,91 +6,20 @@ behind the closed forms symbolically, and validates everything against Monte
 Carlo and classical small-case oracles.
 """
 
-from .exactnum import DomainError, Rational, binom_ext, format_rational, pow_int
-from .exppoly import ExpPoly
-from .genseries import (
-    CatalanParams,
-    TruncSeries,
-    catalan_params,
-    f_tilde_recursive,
-    lagrange_extract,
-    riccati_solution,
-    verify_identities,
-    verify_riccati,
-    verify_series_suite,
-)
-from .measures import (
-    DensityEstimate,
-    MeasureKind,
-    PiecewiseValue,
-    a_closed,
-    b_closed,
-    c_closed,
-    density_oracle,
-    f_closed,
-    f_oracle,
-    measure_at,
-)
-from .montecarlo import CdfEstimate, SimConfig, coverage_dual, empirical_cdf, w_circular, w_linear
-from .scanprob import (
-    ProbValue,
-    Regime,
-    ScanKind,
-    ScanQuery,
-    baseline_cdf,
-    evaluate,
-    measure_to_probability,
-    p_lin_3,
-    pc_3,
-    pc_nm1,
-    tabulate,
-    threshold,
-)
+from .exactnum import DomainError
+from .scanprob import ProbValue, Regime, ScanKind, ScanQuery, evaluate, p_lin_3, pc_3, pc_nm1, threshold
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CatalanParams",
-    "CdfEstimate",
-    "DensityEstimate",
     "DomainError",
-    "ExpPoly",
-    "MeasureKind",
-    "PiecewiseValue",
     "ProbValue",
-    "Rational",
     "Regime",
     "ScanKind",
     "ScanQuery",
-    "SimConfig",
-    "TruncSeries",
-    "a_closed",
-    "b_closed",
-    "baseline_cdf",
-    "binom_ext",
-    "c_closed",
-    "catalan_params",
-    "coverage_dual",
-    "density_oracle",
-    "empirical_cdf",
     "evaluate",
-    "f_closed",
-    "f_oracle",
-    "f_tilde_recursive",
-    "format_rational",
-    "lagrange_extract",
-    "measure_at",
-    "measure_to_probability",
     "p_lin_3",
     "pc_3",
     "pc_nm1",
-    "pow_int",
-    "riccati_solution",
-    "tabulate",
     "threshold",
-    "verify_identities",
-    "verify_riccati",
-    "verify_series_suite",
-    "w_circular",
-    "w_linear",
 ]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -18,11 +19,14 @@ from fractions import Fraction
 from . import genseries, measures, montecarlo, scanprob
 from .exactnum import DomainError, format_rational
 
-SCHEMA = 2
+SCHEMA = 3
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VERIFY = 3
+
+# cross-check tests piece-junction continuity up to this N; the report names the cap
+_JUNCTION_N_MAX = 10
 
 _KINDS = {k.value: k for k in scanprob.ScanKind}
 
@@ -100,11 +104,11 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    config = montecarlo.SimConfig(args.N, args.k, args.samples, args.seed, args.streams)
+    config = montecarlo.SimConfig(args.N, args.k, args.samples, args.seed)
     estimates = montecarlo.empirical_cdf(config, args.kind, parse_list(args.w))
     rows = [vars(e) for e in estimates]
     for row in rows:
-        row.update(N=args.N, k=args.k, kind=args.kind, seed=args.seed, streams=args.streams)
+        row.update(N=args.N, k=args.k, kind=args.kind, seed=args.seed)
     if args.format == "json":
         _emit_json({"command": "simulate", "rows": rows})
     else:
@@ -180,9 +184,10 @@ def _cmd_cross_check(args) -> int:
             "exact agreement" if mismatch is None else f"discrepancy {mismatch}",
         )
 
+    junction_n_max = min(args.n_max, _JUNCTION_N_MAX)
     boundary_ok = True
     for kind in scanprob.ScanKind:
-        for N in range(3, min(args.n_max, 10) + 1):
+        for N in range(3, junction_n_max + 1):
             for j in range(2, 2 * N):
                 try:
                     gap = scanprob.floor_boundary_gap(kind, N, j)
@@ -190,7 +195,7 @@ def _cmd_cross_check(args) -> int:
                     continue
                 if gap != 0:
                     boundary_ok = False
-    report.add("piece_boundary_continuity", boundary_ok, {"n_max": args.n_max})
+    report.add("piece_boundary_continuity", boundary_ok, {"n_max": args.n_max, "junction_n_max": junction_n_max})
     return _report_exit(report, args.format)
 
 
@@ -199,6 +204,7 @@ def _cmd_cross_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scanstat",
@@ -227,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", required=True, help="comma-separated rationals")
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--streams", type=int, default=1)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(fn=_cmd_simulate)
 
@@ -252,8 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except DomainError as exc:

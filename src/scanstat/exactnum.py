@@ -1,8 +1,8 @@
 """Exact rational arithmetic: extended binomial coefficients and safe integer powers.
 
-`Rational` is an alias for the stdlib `fractions.Fraction`, which already
-guarantees lowest terms and a positive denominator.  This module adds the two
-conventions the closed-form evaluators rely on:
+Values are stdlib `fractions.Fraction`s, which already guarantee lowest terms
+and a positive denominator.  This module adds the two conventions the
+closed-form evaluators rely on:
 
   * binom_ext(n, m) extends C(n, m) by 0 whenever m < 0, m > n, or m is not
     an integer (so call sites may pass n/2 directly and get 0 for odd n);
@@ -14,9 +14,6 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from math import comb
-
-Rational = Fraction
-
 
 class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""

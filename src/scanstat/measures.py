@@ -26,8 +26,9 @@ Evaluation conventions, fixed once for the whole artifact:
     a_2 would vanish on (-2, 0) instead of equaling x + 2.
 
 Two independent oracles ground-truth the closed forms: a numeric-convolution
-evaluator for f_n driven directly by the defining recursion, and Monte Carlo
-set sampling for all four families.
+evaluator for f_n driven directly by the defining recursion, and one Monte
+Carlo sampler for all four families that draws exact uniform points on the
+simplex slice sum(x_i - 1) = x and counts those inside the set.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ import numpy as np
 from .exactnum import DomainError, binom_ext
 from .exppoly import ExpPoly
 from .genseries import a_tilde, b_tilde, c_tilde, f_tilde_recursive
+from .montecarlo import _chunked_count
 from .report import Report
 
 
@@ -58,7 +60,6 @@ class DensityEstimate:
     value: float
     std_error: float
     samples: int
-    bandwidth: float
 
 
 @dataclass
@@ -350,94 +351,58 @@ def f_oracle(n: int, x: float, resolution: int = 1024) -> float:
 # ---------------------------------------------------------------------------
 
 _MIN_ORACLE_SAMPLES = 10**5
-_HIST_BANDWIDTH = 0.01
-_CHUNK = 250_000
 
 
-def density_oracle(
-    kind: MeasureKind,
-    n: int,
-    x: float,
-    samples: int = 10**6,
-    seed: int = 0,
-    bandwidth: float = _HIST_BANDWIDTH,
-) -> DensityEstimate:
+def _constraint_pairs(kind: MeasureKind, n: int) -> list[tuple[int, int]]:
+    """The adjacent pairs whose sums the measure bounds, over its variables."""
+    if kind is MeasureKind.F_LINEAR:
+        return [(i, i + 1) for i in range(n - 1)]
+    if kind is MeasureKind.C_LINEAR_GE:
+        # interior pairs (x_i, x_{i+1}), 2 <= i <= n-1, of the n+1 chain variables
+        return [(i, i + 1) for i in range(1, n - 1)]
+    return [(i, (i + 1) % n) for i in range(n)]
+
+
+def density_oracle(kind: MeasureKind, n: int, x: float, samples: int = 10**6, seed: int = 0) -> DensityEstimate:
     """Monte Carlo estimate of the density-of-sum measure at x.
 
-    F/A kinds: sample the box [0,2]^n, count points satisfying the chain
-    constraints whose shifted sum lands within bandwidth/2 of x, and scale by
-    2^n / bandwidth (histogram density estimate).
-
-    B/C kinds: sample the simplex slice directly -- all but one coordinate
-    uniform in [0, S] with S the fixed coordinate sum, the last coordinate
-    determined -- and scale the acceptance rate by the sampling box volume
-    S^(n-1) (B) or S^n (C).  No bandwidth enters; the field is set to 0.
+    Samples the simplex slice {y_i >= 0, sum y_i = S} exactly, with v = n
+    variables (n + 1 for C) and S = x + v: a point is v standard
+    exponentials e scaled by S / sum(e).  The measure is the slice volume
+    S^(v-1)/(v-1)! times the fraction of points whose constrained adjacent
+    pairs satisfy y_i + y_j <= 2 (F, A) or >= 2 (B, C), which on the raw
+    draws reads e_i + e_j against 2 sum(e) / S.  No smoothing window enters,
+    so the estimate is unbiased.  (For F the upper bounds y_i <= 2 follow
+    from the pair constraints, since every variable sits in a pair.)
     """
     if n < 2 or n > 6:
         raise DomainError(f"density_oracle supports 2 <= n <= 6, got {n}")
     if samples < _MIN_ORACLE_SAMPLES:
         raise DomainError(f"at least {_MIN_ORACLE_SAMPLES} samples required, got {samples}")
-    rng = np.random.default_rng(seed)
-
-    if kind in (MeasureKind.F_LINEAR, MeasureKind.A_CYCLIC):
-        hits = 0
-        remaining = samples
-        while remaining > 0:
-            m = min(_CHUNK, remaining)
-            remaining -= m
-            pts = rng.random((m, n)) * 2.0
-            ok = np.ones(m, dtype=bool)
-            for i in range(n - 1):
-                ok &= pts[:, i] + pts[:, i + 1] <= 2.0
-            if kind is MeasureKind.A_CYCLIC and n >= 2:
-                ok &= pts[:, n - 1] + pts[:, 0] <= 2.0
-            s = pts.sum(axis=1) - n
-            ok &= np.abs(s - x) <= bandwidth / 2
-            hits += int(ok.sum())
-        scale = 2.0**n / bandwidth
-        p_hat = hits / samples
-        p_safe = max(p_hat, 1.0 / samples)
-        return DensityEstimate(
-            value=p_hat * scale,
-            std_error=scale * math.sqrt(p_safe * (1 - p_safe) / samples),
-            samples=samples,
-            bandwidth=bandwidth,
-        )
-
-    if kind is MeasureKind.B_CYCLIC_GE:
-        total_sum = x + n
-        free = n - 1
-    else:
-        total_sum = x + n + 1
-        free = n
+    v = n + 1 if kind is MeasureKind.C_LINEAR_GE else n
+    total_sum = x + v
     if total_sum <= 0:
-        return DensityEstimate(value=0.0, std_error=1.0 / samples, samples=samples, bandwidth=0.0)
-    hits = 0
-    remaining = samples
-    while remaining > 0:
-        m = min(_CHUNK, remaining)
-        remaining -= m
-        pts = rng.random((m, free)) * total_sum
-        last = total_sum - pts.sum(axis=1)
-        ok = last >= 0.0
-        v = np.concatenate([pts, last[:, None]], axis=1)
-        if kind is MeasureKind.B_CYCLIC_GE:
-            for i in range(n):
-                ok &= v[:, i] + v[:, (i + 1) % n] >= 2.0
-        else:
-            # interior constraints only: pairs (v_i, v_{i+1}) for 2 <= i <= n-1
-            # in 1-based indexing over the n+1 chain variables
-            for i in range(1, n - 1):
-                ok &= v[:, i] + v[:, i + 1] >= 2.0
-        hits += int(ok.sum())
-    scale = float(total_sum) ** free
+        return DensityEstimate(value=0.0, std_error=1.0 / samples, samples=samples)
+    pairs = _constraint_pairs(kind, n)
+    compare = np.less_equal if kind in (MeasureKind.F_LINEAR, MeasureKind.A_CYCLIC) else np.greater_equal
+
+    def count(rng, m):
+        e = rng.standard_exponential((v, m))
+        bound = e.sum(axis=0)
+        bound *= 2.0 / total_sum
+        ok = np.ones(m, dtype=bool)
+        for i, j in pairs:
+            ok &= compare(e[i] + e[j], bound)
+        return int(np.count_nonzero(ok))
+
+    hits = _chunked_count(np.random.default_rng(seed), samples, count)
+    volume = float(total_sum) ** (v - 1) / math.factorial(v - 1)
     p_hat = hits / samples
     p_safe = min(max(p_hat, 1.0 / samples), 1.0 - 1.0 / samples)
     return DensityEstimate(
-        value=p_hat * scale,
-        std_error=scale * math.sqrt(p_safe * (1 - p_safe) / samples),
+        value=p_hat * volume,
+        std_error=volume * math.sqrt(p_safe * (1 - p_safe) / samples),
         samples=samples,
-        bandwidth=0.0,
     )
 
 

@@ -1,10 +1,11 @@
 """Stochastic oracles: minimum-window sampling and the circle-coverage dual.
 
-Everything is a pure function of (seed, streams, samples): each stream gets
-an independent child of the same SeedSequence and the per-stream counts are
-merged in stream order, so results are reproducible bit for bit.  Confidence
-intervals are Wilson score intervals, which behave correctly near 0 and 1
-where the saturation tests live.
+Every estimate is a pure function of (seed, samples): draws come from the
+first child of SeedSequence(seed) in chunks of at most _CHUNK rows, so
+results are reproducible bit for bit.  The chunk loop, _chunked_count, is
+shared with the measure oracle in `measures`.  Confidence intervals are
+Wilson score intervals, which behave correctly near 0 and 1 where the
+saturation tests live.
 """
 
 from __future__ import annotations
@@ -27,15 +28,12 @@ class SimConfig:
     k: int
     samples: int
     seed: int = 0
-    streams: int = 1
 
     def __post_init__(self):
         if not 2 <= self.k <= self.N:
             raise DomainError(f"need 2 <= k <= N, got k={self.k}, N={self.N}")
         if self.samples < 1:
             raise DomainError("samples must be >= 1")
-        if self.streams < 1:
-            raise DomainError("streams must be >= 1")
 
 
 @dataclass
@@ -86,14 +84,6 @@ def w_circular(points, k: int) -> float:
     return min(best, wrap)
 
 
-def sample_w_linear(N: int, k: int, rng) -> float:
-    return w_linear(rng.random(N), k)
-
-
-def sample_w_circular(N: int, k: int, rng) -> float:
-    return w_circular(rng.random(N), k)
-
-
 def _w_batch_from_points(points: np.ndarray, k: int, circular: bool) -> np.ndarray:
     xs = np.sort(np.atleast_2d(points), axis=1)
     n = xs.shape[1]
@@ -108,9 +98,19 @@ def _w_batch(rng, m: int, N: int, k: int, circular: bool) -> np.ndarray:
     return _w_batch_from_points(rng.random((m, N)), k, circular)
 
 
-def _stream_sizes(samples: int, streams: int) -> list[int]:
-    base, extra = divmod(samples, streams)
-    return [base + (1 if i < extra else 0) for i in range(streams)]
+def _seeded_rng(seed: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+
+
+def _chunked_count(rng, samples: int, count_chunk):
+    """Sum of count_chunk(rng, m) over chunks of m <= _CHUNK draws, `samples` in all."""
+    total = 0
+    remaining = samples
+    while remaining > 0:
+        m = min(_CHUNK, remaining)
+        remaining -= m
+        total = total + count_chunk(rng, m)
+    return total
 
 
 def empirical_cdf(config: SimConfig, kind: str, w_grid) -> list[CdfEstimate]:
@@ -122,16 +122,12 @@ def empirical_cdf(config: SimConfig, kind: str, w_grid) -> list[CdfEstimate]:
     if bad:
         raise DomainError(f"w must lie in [0, 1], got {bad[0]}")
     grid = np.asarray([float(w) for w in widths])
-    counts = np.zeros(len(grid), dtype=np.int64)
-    children = np.random.SeedSequence(config.seed).spawn(config.streams)
-    for size, child in zip(_stream_sizes(config.samples, config.streams), children):
-        rng = np.random.default_rng(child)
-        remaining = size
-        while remaining > 0:
-            m = min(_CHUNK, remaining)
-            remaining -= m
-            w = _w_batch(rng, m, config.N, config.k, kind == "circular")
-            counts += (w[:, None] <= grid[None, :]).sum(axis=0)
+
+    def count(rng, m):
+        w = _w_batch(rng, m, config.N, config.k, kind == "circular")
+        return (w[:, None] <= grid[None, :]).sum(axis=0)
+
+    counts = _chunked_count(_seeded_rng(config.seed), config.samples, count)
     out = []
     for wv, c in zip(grid, counts):
         lo, hi = wilson_interval(int(c), config.samples)
@@ -172,7 +168,7 @@ def min_coverage_depth(starts: np.ndarray, arc_len: float) -> np.ndarray:
     return np.where(seg_len > 0, depth, n_arcs + 1).min(axis=1)
 
 
-def coverage_dual(N: int, k: int, w: float, samples: int, seed: int = 0, streams: int = 1) -> CdfEstimate:
+def coverage_dual(N: int, k: int, w: float, samples: int, seed: int = 0) -> CdfEstimate:
     """Estimate P(N arcs of length 1-w cover every point >= N+1-k times).
 
     This coverage probability equals the survival function of the circular
@@ -184,15 +180,10 @@ def coverage_dual(N: int, k: int, w: float, samples: int, seed: int = 0, streams
         raise DomainError(f"need 0 < w < 1, got {w}")
     arc_len = 1.0 - w
     need = N + 1 - k
-    hits = 0
-    children = np.random.SeedSequence(seed).spawn(streams)
-    for size, child in zip(_stream_sizes(samples, streams), children):
-        rng = np.random.default_rng(child)
-        remaining = size
-        while remaining > 0:
-            m = min(_CHUNK, remaining)
-            remaining -= m
-            starts = rng.random((m, N))
-            hits += int((min_coverage_depth(starts, arc_len) >= need).sum())
+
+    def count(rng, m):
+        return int((min_coverage_depth(rng.random((m, N)), arc_len) >= need).sum())
+
+    hits = _chunked_count(_seeded_rng(seed), samples, count)
     lo, hi = wilson_interval(hits, samples)
     return CdfEstimate(w, hits / samples, lo, hi, samples)

@@ -279,27 +279,26 @@ def baseline_cdf(name: str, N: int, w) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def tabulate(kind: ScanKind, N_list, w_grid) -> list[dict]:
-    """Rows of (kind, N, w, p_exact, p_float, regime, active_terms, error).
+    """Rows of (kind, N, w, p_exact, p_float, regime, active_terms).
 
-    p_float is float(p_exact), correctly rounded.  Evaluator domain errors are
-    recorded on the offending row instead of propagating.
+    p_float is float(p_exact), correctly rounded.  A DomainError on any cell
+    propagates, so no row is written for a bad input.
     """
     rows = []
     for N in N_list:
         for w in w_grid:
-            row = {"kind": kind.value, "N": N, "w": format_rational(w)}
-            try:
-                value = _EVALUATORS[kind](N, w)
-                row.update(
-                    p_exact=format_rational(value.p),
-                    p_float=float(value.p),
-                    regime=value.regime.value,
-                    active_terms=value.active_terms,
-                    error="",
-                )
-            except DomainError as exc:
-                row.update(p_exact="", p_float=float("nan"), regime="error", active_terms=0, error=str(exc))
-            rows.append(row)
+            value = _EVALUATORS[kind](N, w)
+            rows.append(
+                {
+                    "kind": kind.value,
+                    "N": N,
+                    "w": format_rational(w),
+                    "p_exact": format_rational(value.p),
+                    "p_float": float(value.p),
+                    "regime": value.regime.value,
+                    "active_terms": value.active_terms,
+                }
+            )
     return rows
 
 

@@ -224,13 +224,8 @@ def test_criterion_9_float_exact_consistency():
     _announce(9, f"p_float == float(exact) on all {rows} eval and table rows of the sweep grid ({elapsed:.0f}s)")
 
 
-_PARSER = cli.build_parser()
-
-
 def _cli_json(*argv) -> dict:
-    # cli.main's dispatch, with the parser built once for the 5700 calls
-    args = _PARSER.parse_args([*argv, "--format", "json"])
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        assert args.fn(args) == cli.EXIT_OK
+        assert cli.main([*argv, "--format", "json"]) == cli.EXIT_OK
     return json.loads(buf.getvalue())

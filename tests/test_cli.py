@@ -25,7 +25,7 @@ class TestEval:
         code, out, _ = run(capsys, "eval", "--stat", "pc-3", "--N", "10", "--w", "1/5", "--format", "json")
         assert code == 0
         payload = json.loads(out)
-        assert payload["schema"] == 2
+        assert payload["schema"] == 3
         assert payload["p"] == "1"
         assert payload["regime"] == "saturated"
 
@@ -113,7 +113,7 @@ class TestTable:
     def test_float_column_is_rounded_exact(self, capsys):
         code, out, _ = run(capsys, "table", "--stat", "p-3", "--N", "3", "--w", "1/5")
         assert code == 0
-        assert out.splitlines()[1] == "p-3,3,1/5,13/125,0.104,below_threshold,2,"
+        assert out.splitlines()[1] == "p-3,3,1/5,13/125,0.104,below_threshold,2"
 
     def test_json_round_trip(self, capsys):
         code, out, _ = run(capsys, "table", "--stat", "pc-3", "--N", "4,5", "--w", "1/5,1/2", "--format", "json")
@@ -138,7 +138,7 @@ class TestSimulate:
 
     def test_reproducible(self, capsys):
         args = ["simulate", "--kind", "linear", "--N", "5", "--k", "2", "--w", "1/10",
-                "--samples", "5000", "--seed", "11", "--streams", "3"]
+                "--samples", "5000", "--seed", "11"]
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
@@ -168,6 +168,21 @@ class TestVerifyCommands:
         names = {c["name"]: c["passed"] for c in payload["report"]["checks"]}
         assert names["overlap_pc_nm1_equals_pc_3_at_N4"]
         assert names["pathway_equivalence_p-3"]
+
+    @pytest.mark.parametrize("n_max, junction_n_max", [("6", "6"), ("12", "10")])
+    def test_cross_check_names_junction_cap(self, capsys, n_max, junction_n_max):
+        code, out, _ = run(capsys, "cross-check", "--n-max", n_max, "--grid", "2", "--format", "json")
+        assert code == 0
+        checks = {c["name"]: c for c in json.loads(out)["report"]["checks"]}
+        params = checks["piece_boundary_continuity"]["params"]
+        assert params == {"n_max": n_max, "junction_n_max": junction_n_max}
+
+
+def test_parser_built_once_per_process(capsys):
+    cli.build_parser.cache_clear()
+    for _ in range(2):
+        run(capsys, "eval", "--stat", "p-3", "--N", "3", "--w", "1/2")
+    assert cli.build_parser.cache_info().misses == 1
 
 
 def test_parse_rational():

@@ -161,6 +161,28 @@ class TestDensityOracle:
         assert est.std_error > 0
         assert est.value >= 0
 
+    @pytest.mark.parametrize(
+        "kind, n, x, seed",
+        [
+            # the cells where a box-histogram oracle read |z| > 4: few
+            # accepted draws near the edge of the support
+            (MeasureKind.A_CYCLIC, 5, F(-5, 11), 5033),
+            (MeasureKind.F_LINEAR, 4, F(-40, 11), 4004),
+            (MeasureKind.A_CYCLIC, 4, F(-40, 11), 4004),
+        ],
+        ids=["a5", "f4", "a4"],
+    )
+    def test_support_edge_cells(self, kind, n, x, seed):
+        est = ms.density_oracle(kind, n, float(x), samples=10**6, seed=seed)
+        assert abs(est.value - float(ms.closed_measure(kind, n, x))) <= 4 * est.std_error
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", range(25))
+def test_oracle_report_passes_at_every_seed(seed):
+    report, _ = ms.oracle_report(5, 10**6, seed=seed, z_max=4.0)
+    assert report.passed, report.first_failure().detail
+
 
 class TestOpenChainSetReading:
     """The all-constraints reading of the (n+1)-variable chain is wrong.

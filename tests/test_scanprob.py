@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import scanstat.cli as cli
 import scanstat.scanprob as sp
 from scanstat.exactnum import DomainError, binom_ext
 from scanstat.scanprob import Regime, ScanKind, ScanQuery
@@ -214,7 +215,6 @@ class TestTabulateAndQuery:
         rows = sp.tabulate(ScanKind.P_3, [3], grid)
         for row, w in zip(rows, grid):
             assert row["p_exact"] == str(3 * w**2 - 2 * w**3)
-            assert row["error"] == ""
 
     def test_saturated_row(self):
         rows = sp.tabulate(ScanKind.PC_3, [10], [F(1, 5)])
@@ -224,10 +224,14 @@ class TestTabulateAndQuery:
         assert sp.tabulate(ScanKind.P_3, [], []) == []
         assert sp.tabulate(ScanKind.P_3, [3], []) == []
 
-    def test_bad_row_marked(self):
-        rows = sp.tabulate(ScanKind.P_3, [3], [F(3, 2)])
-        assert rows[0]["regime"] == "error"
-        assert "w must lie" in rows[0]["error"]
+    def test_bad_row_marked(self, capsys):
+        # a bad width is a domain error, never a row: the CLI exits 2 and writes no NaN
+        with pytest.raises(DomainError, match="w must lie"):
+            sp.tabulate(ScanKind.P_3, [3], [F(1, 2), F(3, 2)])
+        assert cli.main(["table", "--stat", "p-3", "--N", "3", "--w", "3/2", "--format", "json"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: w must lie") and out.err.count("\n") == 1
 
     def test_query_validation(self):
         q = ScanQuery(ScanKind.P_3, 3, F(1, 2))
