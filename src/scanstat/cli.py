@@ -134,6 +134,8 @@ def _cmd_verify_series(args) -> int:
 def _cmd_verify_measures(args) -> int:
     from .report import Report
 
+    if args.n_max < 2:
+        raise DomainError(f"--n-max must be >= 2, got {args.n_max}")
     combined = Report("verify-measures")
     for sub in (
         measures.continuity_report(args.n_max),
@@ -155,6 +157,8 @@ def _cmd_verify_measures(args) -> int:
 def _cmd_cross_check(args) -> int:
     from .report import Report
 
+    if args.n_max < 3 or args.grid < 1:
+        raise DomainError(f"--n-max must be >= 3 and --grid >= 1, got {args.n_max} and {args.grid}")
     report = Report("cross-check")
     grid = [Fraction(j, 2 * (args.grid + 1)) for j in range(1, args.grid + 1)]
 

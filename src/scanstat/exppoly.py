@@ -7,7 +7,10 @@ definite integration from 0 to s, which is everything the transform-domain
 machinery needs.  Equality of canonical forms is semantic equality, so all
 symbolic identity checks reduce to dictionary comparison.
 
-Values are immutable: every operation returns a fresh ExpPoly.
+Values are immutable: every operation returns a fresh ExpPoly.  The public
+constructor validates and coerces its input; the ring operations build their
+results through the trusted `_from_terms`, whose keys are already int pairs
+and whose coefficients are already Fractions, so it only drops zeros.
 """
 
 from __future__ import annotations
@@ -16,14 +19,6 @@ import math
 from fractions import Fraction
 
 from .exactnum import DomainError
-
-
-def _canonical(terms: dict) -> dict:
-    out = {}
-    for (a, b), c in terms.items():
-        if c:
-            out[(a, b)] = c
-    return out
 
 
 class ExpPoly:
@@ -38,7 +33,14 @@ class ExpPoly:
                 c = Fraction(c)
                 if c:
                     clean[(int(a), int(b))] = clean.get((int(a), int(b)), Fraction(0)) + c
-        self._terms = _canonical(clean)
+        self._terms = {k: c for k, c in clean.items() if c}
+
+    @classmethod
+    def _from_terms(cls, terms: dict) -> "ExpPoly":
+        """Wrap terms the ring operations built (int-pair keys, Fraction values), dropping zeros."""
+        self = object.__new__(cls)
+        self._terms = {k: c for k, c in terms.items() if c}
+        return self
 
     # -- constructors ------------------------------------------------------
 
@@ -96,13 +98,13 @@ class ExpPoly:
             return NotImplemented
         out = dict(self._terms)
         for key, c in other._terms.items():
-            out[key] = out.get(key, Fraction(0)) + c
-        return ExpPoly(out)
+            out[key] = out[key] + c if key in out else c
+        return ExpPoly._from_terms(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ExpPoly":
-        return ExpPoly({k: -c for k, c in self._terms.items()})
+        return ExpPoly._from_terms({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -124,8 +126,8 @@ class ExpPoly:
         for (a1, b1), c1 in self._terms.items():
             for (a2, b2), c2 in other._terms.items():
                 key = (a1 + a2, b1 + b2)
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return ExpPoly(out)
+                out[key] = out[key] + c1 * c2 if key in out else c1 * c2
+        return ExpPoly._from_terms(out)
 
     __rmul__ = __mul__
 
@@ -136,7 +138,7 @@ class ExpPoly:
         (a, b), c = next(iter(self._terms.items()))
         if a != 0:
             raise DomainError(f"not invertible in the ring: {self!r}")
-        return ExpPoly({(0, -b): 1 / c})
+        return ExpPoly._from_terms({(0, -b): 1 / c})
 
     # -- calculus ----------------------------------------------------------
 
@@ -146,11 +148,11 @@ class ExpPoly:
         for (a, b), c in self._terms.items():
             if a > 0:
                 key = (a - 1, b)
-                out[key] = out.get(key, Fraction(0)) + c * a
+                out[key] = out[key] + c * a if key in out else c * a
             if b != 0:
                 key = (a, b)
-                out[key] = out.get(key, Fraction(0)) + c * b
-        return ExpPoly(out)
+                out[key] = out[key] + c * b if key in out else c * b
+        return ExpPoly._from_terms(out)
 
     def integrate_0_to_s(self) -> "ExpPoly":
         """Exact definite integral from 0 to s (vanishes at s = 0).
@@ -166,7 +168,7 @@ class ExpPoly:
 
         def add(a, b, c):
             key = (a, b)
-            out[key] = out.get(key, Fraction(0)) + c
+            out[key] = out[key] + c if key in out else c
 
         for (a, b), c in self._terms.items():
             if b == 0:
@@ -177,7 +179,7 @@ class ExpPoly:
                 add(a - j, b, c * coeff / Fraction(b) ** (j + 1))
             const = Fraction((-1) ** a * math.factorial(a)) / Fraction(b) ** (a + 1)
             add(0, 0, -c * const)
-        return ExpPoly(out)
+        return ExpPoly._from_terms(out)
 
     # -- evaluation --------------------------------------------------------
 

@@ -37,6 +37,12 @@ via Lagrange inversion of the shifted Catalan function in u = t^2, to
     [u^((n-p)/2)] (u+1)^(n-q-1) ((a-b)u + (a+b))^q (1-u),
 
 implemented by lagrange_extract and checked against direct series arithmetic.
+
+The Catalan parameters, t*C, Q, R and F are built once per order and kept in
+a module-level memo (as the f~_n recursion keeps its levels), so every check
+of a suite reads the same values.  That sharing is safe because a value never
+changes after it is built: TruncSeries holds its coefficients in a tuple,
+CatalanParams is frozen, and ExpPoly is immutable.
 """
 
 from __future__ import annotations
@@ -50,6 +56,9 @@ from .exppoly import ExpPoly
 from .report import Report
 
 DEFAULT_ORDER = 12
+
+# built series by (builder, order); see the module docstring
+_ORDER_MEMO: dict[tuple[str, int], object] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +85,8 @@ def _invert_coef(c):
 class TruncSeries:
     """Power series in t truncated at a fixed order, exact coefficients.
 
-    Coefficients are Fractions or ExpPolys (never mixed within one series).
+    Coefficients are Fractions or ExpPolys (never mixed within one series),
+    held in a tuple so a memoised series cannot be changed in place.
     Arithmetic truncates results to the smaller operand order; nothing beyond
     `order` is ever read or trusted.
     """
@@ -84,7 +94,7 @@ class TruncSeries:
     __slots__ = ("coefs",)
 
     def __init__(self, coefs):
-        self.coefs = list(coefs)
+        self.coefs = tuple(coefs)
         if not self.coefs:
             raise ValueError("series needs at least the constant coefficient")
 
@@ -156,7 +166,7 @@ class TruncSeries:
     def shift(self, k: int) -> "TruncSeries":
         """Multiply by t^k; the result is exact to order + k."""
         z = _zero_like(self.coefs[0])
-        return TruncSeries([z] * k + self.coefs)
+        return TruncSeries((z,) * k + self.coefs)
 
     def shift_down(self, k: int = 1) -> "TruncSeries":
         """Divide by t^k, requiring the low-order coefficients to vanish."""
@@ -215,7 +225,7 @@ class TruncSeries:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class CatalanParams:
     z: TruncSeries
     C: TruncSeries
@@ -235,6 +245,8 @@ def catalan_params(order: int) -> CatalanParams:
     """
     if order < 0:
         raise DomainError("order must be >= 0")
+    if ("catalan", order) in _ORDER_MEMO:
+        return _ORDER_MEMO["catalan", order]
     coefs = [Fraction(0)] * (order + 1)
     for m in range(0, order // 2 + 1):
         coefs[2 * m] = Fraction(catalan_number(m))
@@ -244,12 +256,18 @@ def catalan_params(order: int) -> CatalanParams:
     z = one - t2c.scale(Fraction(2))
     alpha1 = one - t2c
     alpha2 = t2c
-    return CatalanParams(z=z, C=c_series, alpha1=alpha1, alpha2=alpha2)
+    params = CatalanParams(z=z, C=c_series, alpha1=alpha1, alpha2=alpha2)
+    _ORDER_MEMO["catalan", order] = params
+    return params
 
 
 def tc_series(order: int) -> TruncSeries:
     """The series t*C, the ratio (a2+t)/(a1+t)."""
-    return catalan_params(order).C.shift(1).truncate(order)
+    if ("tc", order) in _ORDER_MEMO:
+        return _ORDER_MEMO["tc", order]
+    tc = catalan_params(order).C.shift(1).truncate(order)
+    _ORDER_MEMO["tc", order] = tc
+    return tc
 
 
 # ---------------------------------------------------------------------------
@@ -311,20 +329,28 @@ def q_series(order: int) -> TruncSeries:
 
     Q(t,0) = -z, whose constant term -1 keeps Q invertible as a series.
     """
+    if ("q", order) in _ORDER_MEMO:
+        return _ORDER_MEMO["q", order]
     p = catalan_params(order)
     t = TruncSeries.t_power(1, order)
     e_a1 = _exp_linear_series(1, -p.alpha2, order)   # a1 = 1 - t^2 C
     e_a2 = _exp_linear_series(0, p.alpha2, order)
-    return (p.alpha2 + t).lift() * e_a1 - (p.alpha1 + t).lift() * e_a2
+    q = (p.alpha2 + t).lift() * e_a1 - (p.alpha1 + t).lift() * e_a2
+    _ORDER_MEMO["q", order] = q
+    return q
 
 
 def r_series(order: int) -> TruncSeries:
     """R(t,s) = a2(a2+t) e^{-a1 s} - a1(a1+t) e^{-a2 s}; satisfies R/Q = F + t e^{-s}."""
+    if ("r", order) in _ORDER_MEMO:
+        return _ORDER_MEMO["r", order]
     p = catalan_params(order)
     t = TruncSeries.t_power(1, order)
     e_neg_a1 = _exp_linear_series(-1, p.alpha2, order)
     e_neg_a2 = _exp_linear_series(0, -p.alpha2, order)
-    return (p.alpha2 * (p.alpha2 + t)).lift() * e_neg_a1 - (p.alpha1 * (p.alpha1 + t)).lift() * e_neg_a2
+    r = (p.alpha2 * (p.alpha2 + t)).lift() * e_neg_a1 - (p.alpha1 * (p.alpha1 + t)).lift() * e_neg_a2
+    _ORDER_MEMO["r", order] = r
+    return r
 
 
 def riccati_solution(order: int = DEFAULT_ORDER) -> TruncSeries:
@@ -335,11 +361,14 @@ def riccati_solution(order: int = DEFAULT_ORDER) -> TruncSeries:
     """
     if order < 0:
         raise DomainError("order must be >= 0")
+    if ("riccati", order) in _ORDER_MEMO:
+        return _ORDER_MEMO["riccati", order]
     work = order + 1
     q = q_series(work)
     p = q.map(lambda c: c.diff_s())
-    f = p.shift_down(1).divide(q.truncate(work - 1)).scale(ExpPoly.term(-1, 0, -1))
-    return f.truncate(order)
+    f = p.shift_down(1).divide(q.truncate(work - 1)).scale(ExpPoly.term(-1, 0, -1)).truncate(order)
+    _ORDER_MEMO["riccati", order] = f
+    return f
 
 
 def a_tilde_series(order: int = DEFAULT_ORDER) -> TruncSeries:

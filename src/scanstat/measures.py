@@ -25,6 +25,11 @@ Evaluation conventions, fixed once for the whole artifact:
     every plain s^{-p} term produces x^{p-1}/(p-1)! H(x).  Without that gate
     a_2 would vanish on (-2, 0) instead of equaling x + 2.
 
+The a/b/c closed forms are evaluated over the integers.  With x = P/Q every
+(x +- k)^e becomes (P +- kQ)^e over a power of Q, the 1/i weights share the
+lcm of the active i, and the standalone blocks carry their 1/2 or 1/(n+2) in
+the same denominator, so each value is one Fraction built at the end.
+
 Two independent oracles ground-truth the closed forms: a numeric-convolution
 evaluator for f_n driven directly by the defining recursion, and one Monte
 Carlo sampler for all four families that draws exact uniform points on the
@@ -41,7 +46,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exactnum import DomainError, binom_ext
+from .exactnum import DomainError
 from .exppoly import ExpPoly
 from .genseries import a_tilde, b_tilde, c_tilde, f_tilde_recursive
 from .montecarlo import _chunked_count
@@ -75,9 +80,21 @@ class PiecewiseValue:
 # ---------------------------------------------------------------------------
 
 
-def _heaviside(arg: Fraction, h0: int) -> bool:
+def _heaviside(arg: int | Fraction, h0: int) -> bool:
     """H(arg) with H(0) = h0; h0=0 gives the left-limit polynomial instead."""
     return arg > 0 or (arg == 0 and h0 == 1)
+
+
+def _block(n: int, m: int, u: int, v: int) -> int:
+    """C(n-1, m) u^m v^(n-1-m) - C(n-1, m-1) u^(m-1) v^(n-m), sharing one power pair."""
+    if m == 0:
+        return v ** (n - 1)
+    return u ** (m - 1) * v ** (n - 1 - m) * (math.comb(n - 1, m) * u - math.comb(n - 1, m - 1) * v)
+
+
+def _half_binom(n: int) -> int:
+    """C(n, n/2), which is 0 for odd n."""
+    return 0 if n % 2 else math.comb(n, n // 2)
 
 
 def a_closed(n: int, x, _h0: int = 1) -> Fraction:
@@ -89,26 +106,14 @@ def a_closed(n: int, x, _h0: int = 1) -> Fraction:
     if n < 2:
         raise DomainError(f"a_closed requires n >= 2, got {n}")
     x = Fraction(x)
-    fact = math.factorial(n - 1)
-    total = Fraction(0)
-    start = 1 if n % 2 else 2
-    for i in range(start, n + 1, 2):
-        if not _heaviside(x + i, _h0):
-            continue
-        term = Fraction(0)
-        m1 = (n - i) // 2
-        c1 = binom_ext(n - 1, m1)
-        if c1:
-            term += c1 * (x - i) ** m1 * (x + i) ** ((n + i - 2) // 2)
-        c2 = binom_ext(n - 1, m1 - 1)
-        if c2:
-            term -= c2 * (x - i) ** (m1 - 1) * (x + i) ** ((n + i) // 2)
-        total += term / i
-    total = total * n / fact
-    if _heaviside(x, _h0):
-        total -= Fraction(2 ** (n - 1)) * x ** (n - 1) / fact
-        total += binom_ext(n, Fraction(n, 2)) * x ** (n - 2) * (x - n) / (2 * fact)
-    return total
+    p, q = x.numerator, x.denominator
+    active = [i for i in range(2 - n % 2, n + 1, 2) if _heaviside(p + i * q, _h0)]
+    lcm = math.lcm(*active)
+    total = 2 * n * sum(lcm // i * _block(n, (n - i) // 2, p - i * q, p + i * q) for i in active)
+    if _heaviside(p, _h0):
+        total -= lcm * 2**n * p ** (n - 1)
+        total += lcm * _half_binom(n) * p ** (n - 2) * (p - n * q)
+    return Fraction(total, 2 * lcm * math.factorial(n - 1) * q ** (n - 1))
 
 
 def b_closed(n: int, x, _h0: int = 1) -> Fraction:
@@ -119,27 +124,15 @@ def b_closed(n: int, x, _h0: int = 1) -> Fraction:
     if n < 2:
         raise DomainError(f"b_closed requires n >= 2, got {n}")
     x = Fraction(x)
-    fact = math.factorial(n - 1)
+    p, q = x.numerator, x.denominator
     sign = -1 if n % 2 else 1
-    total = Fraction(0)
-    start = 1 if n % 2 else 2
-    for i in range(start, n // 3 + 1, 2):
-        if not _heaviside(x - i, _h0):
-            continue
-        term = Fraction(0)
-        m1 = (n - 3 * i) // 2
-        c1 = binom_ext(n - 1, m1)
-        if c1:
-            term += c1 * (x + i) ** m1 * (x - i) ** ((n + 3 * i - 2) // 2)
-        c2 = binom_ext(n - 1, m1 - 1)
-        if c2:
-            term -= c2 * (x + i) ** (m1 - 1) * (x - i) ** ((n + 3 * i) // 2)
-        total += term / i
-    total = total * n * sign / fact
-    if _heaviside(x, _h0):
-        total += Fraction(-sign * 2 ** (n - 1)) * x ** (n - 1) / fact
-        total += binom_ext(n, Fraction(n, 2)) * x ** (n - 2) * (3 * x + n) / (2 * fact)
-    return total
+    active = [i for i in range(2 - n % 2, n // 3 + 1, 2) if _heaviside(p - i * q, _h0)]
+    lcm = math.lcm(*active)
+    total = 2 * n * sign * sum(lcm // i * _block(n, (n - 3 * i) // 2, p + i * q, p - i * q) for i in active)
+    if _heaviside(p, _h0):
+        total -= lcm * sign * 2**n * p ** (n - 1)
+        total += lcm * _half_binom(n) * p ** (n - 2) * (3 * p + n * q)
+    return Fraction(total, 2 * lcm * math.factorial(n - 1) * q ** (n - 1))
 
 
 def c_closed(n: int, x, _h0: int = 1) -> Fraction:
@@ -150,24 +143,22 @@ def c_closed(n: int, x, _h0: int = 1) -> Fraction:
     if n < 2:
         raise DomainError(f"c_closed requires n >= 2, got {n}")
     x = Fraction(x)
-    fact = math.factorial(n)
+    q = x.denominator
+    p = x.numerator + 3 * q  # x + 3 = p/q
     sign = 1 if n % 2 else -1
-    total = Fraction(0)
-    start = 1 if n % 2 else 0
-    for i in range(start, (n + 2) // 3 + 1, 2):
-        if not _heaviside(x + 3 - i, _h0):
+    total = 0
+    for i in range(n % 2, (n + 2) // 3 + 1, 2):
+        if not _heaviside(p - i * q, _h0):
             continue
-        term = Fraction(0)
+        u, v = p + i * q, p - i * q
         for d, cf in ((1, 1), (0, -2), (-1, 1)):
             m = (n - 3 * i) // 2 + d
-            c = binom_ext(n, m)
-            if c:
-                term += cf * c * (x + 3 + i) ** m * (x + 3 - i) ** (n - m)
-        total += term
-    total = total * sign / fact
-    if _heaviside(x + 3, _h0):
-        total += Fraction(2 * sign, n + 2) * binom_ext(n, Fraction(n, 2)) * (x + 3) ** n / fact
-    return total
+            if 0 <= m <= n:
+                total += cf * math.comb(n, m) * u**m * v ** (n - m)
+    total *= (n + 2) * sign
+    if _heaviside(p, _h0):
+        total += 2 * sign * _half_binom(n) * p**n
+    return Fraction(total, (n + 2) * math.factorial(n) * q**n)
 
 
 _CLOSED = {

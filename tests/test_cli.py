@@ -95,6 +95,20 @@ class TestErrors:
         assert code == 2
         assert "w must lie in [0, 1]" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify-measures", "--n-max", "1"),
+            ("cross-check", "--n-max", "2"),
+            ("cross-check", "--grid", "0"),
+        ],
+    )
+    def test_empty_verify_range_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --n-max must be >= ") and err.count("\n") == 1
+
     def test_verification_failure_exits_3(self, capsys):
         failing = Report("demo")
         failing.add("broken", False, detail="nope")

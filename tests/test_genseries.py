@@ -96,9 +96,9 @@ class TestClosedForm:
 
     def test_riccati_negative_control(self):
         f = gs.riccati_solution(5)
-        corrupted = gs.TruncSeries(list(f.coefs))
-        corrupted.coefs[3] = corrupted.coefs[3] - ExpPoly.term(1, 0, 1)
-        rep = gs.verify_riccati(5, f=corrupted)
+        coefs = list(f.coefs)
+        coefs[3] = coefs[3] - ExpPoly.term(1, 0, 1)
+        rep = gs.verify_riccati(5, f=gs.TruncSeries(coefs))
         assert not rep.passed
         assert "t^" in rep.first_failure().detail
 
@@ -237,6 +237,25 @@ class TestSeriesOps:
     def test_shift_down_requires_divisibility(self):
         with pytest.raises(DomainError):
             gs.TruncSeries.constant(Fraction(1), 3).shift_down(1)
+
+    def test_coefficients_cannot_change_in_place(self):
+        series = gs.riccati_solution(3)
+        with pytest.raises(TypeError):
+            series.coefs[1] = ONE
+
+
+@pytest.mark.parametrize(
+    "builder", [gs.catalan_params, gs.tc_series, gs.q_series, gs.r_series, gs.riccati_solution]
+)
+def test_memoised_builder_matches_a_fresh_build(builder):
+    first = builder(7)
+    assert builder(7) is first
+    gs._ORDER_MEMO.clear()
+    assert builder(7) == first
+
+
+def test_series_suite_at_order_20():
+    assert gs.verify_series_suite(20).passed
 
 
 def test_full_suite_report():
