@@ -263,6 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise DomainError(f"--seed must be >= 0, got {args.seed}")
         return args.fn(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

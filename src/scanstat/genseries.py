@@ -38,11 +38,11 @@ via Lagrange inversion of the shifted Catalan function in u = t^2, to
 
 implemented by lagrange_extract and checked against direct series arithmetic.
 
-The Catalan parameters, t*C, Q, R and F are built once per order and kept in
-a module-level memo (as the f~_n recursion keeps its levels), so every check
-of a suite reads the same values.  That sharing is safe because a value never
-changes after it is built: TruncSeries holds its coefficients in a tuple,
-CatalanParams is frozen, and ExpPoly is immutable.
+The Catalan parameters, t*C, Q, R, F, A and the (B, C2) pair are built once
+per order and kept in a module-level memo (as the f~_n recursion keeps its
+levels), so every check of a suite reads the same values.  That sharing is
+safe because a value never changes after it is built: TruncSeries holds its
+coefficients in a tuple, CatalanParams is frozen, and ExpPoly is immutable.
 """
 
 from __future__ import annotations
@@ -378,10 +378,14 @@ def a_tilde_series(order: int = DEFAULT_ORDER) -> TruncSeries:
     one-variable cycle), even though coefficient extraction is only ever used
     from n = 2 up.
     """
+    if ("a_tilde", order) in _ORDER_MEMO:
+        return _ORDER_MEMO["a_tilde", order]
     p = catalan_params(order)
     q = q_series(order)
     neg_z_inv = TruncSeries.constant(Fraction(1), order).divide(-p.z)
-    return -(q * neg_z_inv.lift()).log()
+    a = -(q * neg_z_inv.lift()).log()
+    _ORDER_MEMO["a_tilde", order] = a
+    return a
 
 
 def b_c_tilde_series(order: int = DEFAULT_ORDER) -> tuple[TruncSeries, TruncSeries]:
@@ -390,13 +394,16 @@ def b_c_tilde_series(order: int = DEFAULT_ORDER) -> tuple[TruncSeries, TruncSeri
     Returns (B, C2) with B = -ln(R/(-z)) and C2 = (Q/R) e^{2s}; then
     b~_n = n (-1)^n [t^n] B and c~_n = (-1)^(n-1) [t^(n-1)] C2.
     """
+    if ("b_c_tilde", order) in _ORDER_MEMO:
+        return _ORDER_MEMO["b_c_tilde", order]
     p = catalan_params(order)
     q = q_series(order)
     r = r_series(order)
     neg_z_inv = TruncSeries.constant(Fraction(1), order).divide(-p.z)
     b = -(r * neg_z_inv.lift()).log()
-    c2 = q.divide(r).scale(ExpPoly.exp(2))
-    return b, c2
+    pair = b, q.divide(r).scale(ExpPoly.exp(2))
+    _ORDER_MEMO["b_c_tilde", order] = pair
+    return pair
 
 
 def a_tilde(n: int) -> ExpPoly:

@@ -342,6 +342,12 @@ def f_oracle(n: int, x: float, resolution: int = 1024) -> float:
 # ---------------------------------------------------------------------------
 
 _MIN_ORACLE_SAMPLES = 10**5
+# draws per (v, m) chunk; which draw feeds which variable depends on m, so
+# changing this changes every verify-measures number
+_ORACLE_CHUNK = 250_000
+# columns per counting block; any value gives the same counts, this one keeps
+# bound and the pair sums in cache
+_COLUMN_BLOCK = 8192
 
 
 def _constraint_pairs(kind: MeasureKind, n: int) -> list[tuple[int, int]]:
@@ -365,6 +371,10 @@ def density_oracle(kind: MeasureKind, n: int, x: float, samples: int = 10**6, se
     draws reads e_i + e_j against 2 sum(e) / S.  No smoothing window enters,
     so the estimate is unbiased.  (For F the upper bounds y_i <= 2 follow
     from the pair constraints, since every variable sits in a pair.)
+
+    The (v, m) draw is variable-major, so which draw feeds which variable,
+    and so the estimate, depends on _ORACLE_CHUNK.  The column blocks that
+    count the hits do not: each column sum adds the same v values in order.
     """
     if n < 2 or n > 6:
         raise DomainError(f"density_oracle supports 2 <= n <= 6, got {n}")
@@ -378,15 +388,19 @@ def density_oracle(kind: MeasureKind, n: int, x: float, samples: int = 10**6, se
     compare = np.less_equal if kind in (MeasureKind.F_LINEAR, MeasureKind.A_CYCLIC) else np.greater_equal
 
     def count(rng, m):
-        e = rng.standard_exponential((v, m))
-        bound = e.sum(axis=0)
-        bound *= 2.0 / total_sum
-        ok = np.ones(m, dtype=bool)
-        for i, j in pairs:
-            ok &= compare(e[i] + e[j], bound)
-        return int(np.count_nonzero(ok))
+        draws = rng.standard_exponential((v, m))
+        hits = 0
+        for start in range(0, m, _COLUMN_BLOCK):
+            e = draws[:, start : start + _COLUMN_BLOCK]
+            bound = e.sum(axis=0)
+            bound *= 2.0 / total_sum
+            ok = np.ones(e.shape[1], dtype=bool)
+            for i, j in pairs:
+                ok &= compare(e[i] + e[j], bound)
+            hits += int(np.count_nonzero(ok))
+        return hits
 
-    hits = _chunked_count(np.random.default_rng(seed), samples, count)
+    hits = _chunked_count(np.random.default_rng(seed), samples, count, _ORACLE_CHUNK)
     volume = float(total_sum) ** (v - 1) / math.factorial(v - 1)
     p_hat = hits / samples
     p_safe = min(max(p_hat, 1.0 / samples), 1.0 - 1.0 / samples)

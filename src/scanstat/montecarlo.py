@@ -1,11 +1,14 @@
 """Stochastic oracles: minimum-window sampling and the circle-coverage dual.
 
 Every estimate is a pure function of (seed, samples): draws come from the
-first child of SeedSequence(seed) in chunks of at most _CHUNK rows, so
-results are reproducible bit for bit.  The chunk loop, _chunked_count, is
-shared with the measure oracle in `measures`.  Confidence intervals are
-Wilson score intervals, which behave correctly near 0 and 1 where the
-saturation tests live.
+first child of SeedSequence(seed), so results are reproducible bit for bit.
+Both samplers here draw rng.random((rows, N)), which fills whole rows in
+order, so sweeping blocks of _ROW_BLOCK rows gives the estimates of one
+monolithic draw for any block size.  The block loop, _chunked_count, is
+shared with the variable-major measure oracle in `measures`, whose
+estimates do depend on its chunk size.  Confidence intervals are Wilson
+score intervals, which behave correctly near 0 and 1 where the saturation
+tests live.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from .exactnum import DomainError
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 
-_CHUNK = 250_000
+# rows per block of the row-major samplers; any value gives the same estimates
+_ROW_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -94,20 +98,16 @@ def _w_batch_from_points(points: np.ndarray, k: int, circular: bool) -> np.ndarr
     return w
 
 
-def _w_batch(rng, m: int, N: int, k: int, circular: bool) -> np.ndarray:
-    return _w_batch_from_points(rng.random((m, N)), k, circular)
-
-
 def _seeded_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
 
 
-def _chunked_count(rng, samples: int, count_chunk):
-    """Sum of count_chunk(rng, m) over chunks of m <= _CHUNK draws, `samples` in all."""
+def _chunked_count(rng, samples: int, count_chunk, chunk: int):
+    """Sum of count_chunk(rng, m) over chunks of m <= chunk draws, `samples` in all."""
     total = 0
     remaining = samples
     while remaining > 0:
-        m = min(_CHUNK, remaining)
+        m = min(chunk, remaining)
         remaining -= m
         total = total + count_chunk(rng, m)
     return total
@@ -124,10 +124,10 @@ def empirical_cdf(config: SimConfig, kind: str, w_grid) -> list[CdfEstimate]:
     grid = np.asarray([float(w) for w in widths])
 
     def count(rng, m):
-        w = _w_batch(rng, m, config.N, config.k, kind == "circular")
+        w = _w_batch_from_points(rng.random((m, config.N)), config.k, kind == "circular")
         return (w[:, None] <= grid[None, :]).sum(axis=0)
 
-    counts = _chunked_count(_seeded_rng(config.seed), config.samples, count)
+    counts = _chunked_count(_seeded_rng(config.seed), config.samples, count, _ROW_BLOCK)
     out = []
     for wv, c in zip(grid, counts):
         lo, hi = wilson_interval(int(c), config.samples)
@@ -184,6 +184,6 @@ def coverage_dual(N: int, k: int, w: float, samples: int, seed: int = 0) -> CdfE
     def count(rng, m):
         return int((min_coverage_depth(rng.random((m, N)), arc_len) >= need).sum())
 
-    hits = _chunked_count(_seeded_rng(seed), samples, count)
+    hits = _chunked_count(_seeded_rng(seed), samples, count, _ROW_BLOCK)
     lo, hi = wilson_interval(hits, samples)
     return CdfEstimate(w, hits / samples, lo, hi, samples)

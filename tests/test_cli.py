@@ -109,6 +109,20 @@ class TestErrors:
         assert out == ""
         assert err.startswith("error: --n-max must be >= ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "--kind", "linear", "--N", "5", "--k", "3", "--w", "1/4", "--seed", "-1"),
+            ("verify-measures", "--seed", "-3000"),
+            ("verify-measures", "--seed", "-1"),
+        ],
+    )
+    def test_negative_seed_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --seed must be >= 0") and err.count("\n") == 1
+
     def test_verification_failure_exits_3(self, capsys):
         failing = Report("demo")
         failing.add("broken", False, detail="nope")

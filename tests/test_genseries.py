@@ -245,7 +245,9 @@ class TestSeriesOps:
 
 
 @pytest.mark.parametrize(
-    "builder", [gs.catalan_params, gs.tc_series, gs.q_series, gs.r_series, gs.riccati_solution]
+    "builder",
+    [gs.catalan_params, gs.tc_series, gs.q_series, gs.r_series, gs.riccati_solution,
+     gs.a_tilde_series, gs.b_c_tilde_series],
 )
 def test_memoised_builder_matches_a_fresh_build(builder):
     first = builder(7)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -175,6 +176,31 @@ class TestDensityOracle:
     def test_support_edge_cells(self, kind, n, x, seed):
         est = ms.density_oracle(kind, n, float(x), samples=10**6, seed=seed)
         assert abs(est.value - float(ms.closed_measure(kind, n, x))) <= 4 * est.std_error
+
+    @pytest.mark.parametrize("n", [2, 5])
+    @pytest.mark.parametrize("kind", list(MeasureKind))
+    def test_blocked_count_matches_whole_chunk_count(self, kind, n):
+        # two chunks of draws, the second ending in a partial column block
+        samples = 250_000 + 8_193
+        x = float(ms.interior_grid(kind, n, 3)[1])
+        v = n + 1 if kind is MeasureKind.C_LINEAR_GE else n
+        total_sum = x + v
+        compare = np.less_equal if kind in (MeasureKind.F_LINEAR, MeasureKind.A_CYCLIC) else np.greater_equal
+        rng = np.random.default_rng(7)
+        hits = 0
+        for m in (250_000, 8_193):
+            # each chunk counted as one array
+            e = rng.standard_exponential((v, m))
+            bound = e.sum(axis=0)
+            bound *= 2.0 / total_sum
+            ok = np.ones(m, dtype=bool)
+            for i, j in ms._constraint_pairs(kind, n):
+                ok &= compare(e[i] + e[j], bound)
+            hits += int(np.count_nonzero(ok))
+        assert hits > 0
+        volume = total_sum ** (v - 1) / math.factorial(v - 1)
+        est = ms.density_oracle(kind, n, x, samples, seed=7)
+        assert est.value == hits / samples * volume
 
 
 @pytest.mark.slow

@@ -64,7 +64,7 @@ class TestEmpiricalCdf:
         # E[W(2)] for N = 3 is 1/8: integral of the survival (1-2w)^3
         cfg = mc.SimConfig(N=3, k=2, samples=200_000, seed=13)
         rng = np.random.default_rng(cfg.seed)
-        w = mc._w_batch(rng, cfg.samples, cfg.N, cfg.k, circular=False)
+        w = mc._w_batch_from_points(rng.random((cfg.samples, cfg.N)), cfg.k, circular=False)
         se = w.std() / np.sqrt(cfg.samples)
         assert abs(w.mean() - 0.125) <= 4 * se
 
@@ -126,3 +126,55 @@ class TestWilson:
     def test_needs_a_trial(self):
         with pytest.raises(DomainError):
             mc.wilson_interval(0, 0)
+
+
+# not a multiple of the block, so the last block is partial
+BLOCKED_SAMPLES = 3 * 4096 + 5
+
+
+def _monolithic_draw(seed: int, N: int) -> np.ndarray:
+    """Every point of a run in one draw from the sampler's seeded generator."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    return rng.random((BLOCKED_SAMPLES, N))
+
+
+class TestBlockedSweep:
+    @pytest.mark.parametrize("block", [mc._ROW_BLOCK, 1000])
+    @pytest.mark.parametrize("kind", ["linear", "circular"])
+    def test_empirical_cdf_matches_one_monolithic_draw(self, monkeypatch, kind, block):
+        monkeypatch.setattr(mc, "_ROW_BLOCK", block)
+        cfg = mc.SimConfig(N=8, k=3, samples=BLOCKED_SAMPLES, seed=9)
+        grid = [0.05, 0.1, 0.2]
+        w = mc._w_batch_from_points(_monolithic_draw(cfg.seed, cfg.N), cfg.k, kind == "circular")
+        expected = []
+        for wv in grid:
+            hits = int((w <= wv).sum())
+            lo, hi = mc.wilson_interval(hits, cfg.samples)
+            expected.append(mc.CdfEstimate(wv, hits / cfg.samples, lo, hi, cfg.samples))
+        assert mc.empirical_cdf(cfg, kind, grid) == expected
+
+    @pytest.mark.parametrize("block", [mc._ROW_BLOCK, 1000])
+    def test_coverage_dual_matches_one_monolithic_draw(self, monkeypatch, block):
+        monkeypatch.setattr(mc, "_ROW_BLOCK", block)
+        N, k, w, seed = 8, 7, 0.6, 4
+        depth = mc.min_coverage_depth(_monolithic_draw(seed, N), 1.0 - w)
+        hits = int((depth >= N + 1 - k).sum())
+        lo, hi = mc.wilson_interval(hits, BLOCKED_SAMPLES)
+        expected = mc.CdfEstimate(w, hits / BLOCKED_SAMPLES, lo, hi, BLOCKED_SAMPLES)
+        assert mc.coverage_dual(N, k, w, BLOCKED_SAMPLES, seed) == expected
+
+    def test_sweeps_never_hold_more_than_one_block(self, monkeypatch):
+        rows = []
+
+        def guard(fn):
+            def wrapped(points, *args):
+                rows.append(np.atleast_2d(points).shape[0])
+                return fn(points, *args)
+            return wrapped
+
+        monkeypatch.setattr(mc, "min_coverage_depth", guard(mc.min_coverage_depth))
+        monkeypatch.setattr(mc, "_w_batch_from_points", guard(mc._w_batch_from_points))
+        mc.coverage_dual(8, 7, 0.6, BLOCKED_SAMPLES, seed=1)
+        mc.empirical_cdf(mc.SimConfig(8, 3, BLOCKED_SAMPLES, seed=1), "circular", [0.1])
+        assert sum(rows) == 2 * BLOCKED_SAMPLES
+        assert max(rows) <= mc._ROW_BLOCK
