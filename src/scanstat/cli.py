@@ -2,8 +2,9 @@
 
 Commands: eval, table, simulate, verify-series, verify-measures, cross-check.
 Widths are accepted only as exact rational strings ("1/6", "0.25"), never as
-binary floats, so the exact path never inherits parser rounding.  Exit codes:
-0 success, 2 usage or domain error, 3 verification failure.
+binary floats, so the exact path never inherits parser rounding.  Only
+simulate and verify-measures import the samplers, and with them numpy.  Exit
+codes: 0 success, 2 usage or domain error, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import genseries, measures, montecarlo, scanprob
+from . import genseries, measures, scanprob
 from .exactnum import DomainError, format_rational
 
 SCHEMA = 3
@@ -104,6 +105,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from . import montecarlo
+
     config = montecarlo.SimConfig(args.N, args.k, args.samples, args.seed)
     estimates = montecarlo.empirical_cdf(config, args.kind, parse_list(args.w))
     rows = [vars(e) for e in estimates]
@@ -132,6 +135,7 @@ def _cmd_verify_series(args) -> int:
 
 
 def _cmd_verify_measures(args) -> int:
+    from . import montecarlo
     from .report import Report
 
     if args.n_max < 2:
@@ -143,7 +147,7 @@ def _cmd_verify_measures(args) -> int:
         measures.transform_crosscheck_report(args.n_max),
     ):
         combined.checks.extend(sub.checks)
-    oracle_rep, rows = measures.oracle_report(args.n_max, args.samples, args.seed)
+    oracle_rep, rows = montecarlo.oracle_report(args.n_max, args.samples, args.seed)
     combined.checks.extend(oracle_rep.checks)
     if args.format == "json":
         payload = {"command": "verify-measures", "report": combined.to_dict(), "rows": rows}

@@ -1,4 +1,4 @@
-"""Closed-form chain/cycle measures and the independent oracles that ground them.
+"""Closed-form chain/cycle measures, their transform inversion and exact checks.
 
 Four families of Lebesgue measures (always in the density-of-sum sense: the
 value at x is the (n-1)-dimensional measure of the slice sum(x_i - 1) = x,
@@ -30,26 +30,22 @@ The a/b/c closed forms are evaluated over the integers.  With x = P/Q every
 lcm of the active i, and the standalone blocks carry their 1/2 or 1/(n+2) in
 the same denominator, so each value is one Fraction built at the end.
 
-Two independent oracles ground-truth the closed forms: a numeric-convolution
-evaluator for f_n driven directly by the defining recursion, and one Monte
-Carlo sampler for all four families that draws exact uniform points on the
-simplex slice sum(x_i - 1) = x and counts those inside the set.
+Everything here is exact and pure Python: no numpy is imported, so the CDF
+kernels in `scanprob` load the closed forms without any numeric machinery.
+The exact checks are two: continuity and support of each piecewise
+polynomial, and equality with termwise inversion of the transform-domain
+series.  The Monte Carlo oracle that samples each set lives in `montecarlo`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
-
-import numpy as np
 
 from .exactnum import DomainError
 from .exppoly import ExpPoly
 from .genseries import a_tilde, b_tilde, c_tilde, f_tilde_recursive
-from .montecarlo import _chunked_count
 from .report import Report
 
 
@@ -58,21 +54,6 @@ class MeasureKind(Enum):
     A_CYCLIC = "a"
     B_CYCLIC_GE = "b"
     C_LINEAR_GE = "c"
-
-
-@dataclass
-class DensityEstimate:
-    value: float
-    std_error: float
-    samples: int
-
-
-@dataclass
-class PiecewiseValue:
-    """A measure evaluated at a point, tagged with its active piece index."""
-
-    value: Fraction
-    piece: int  # number of piece boundaries at or below x; 0 means off-support
 
 
 # ---------------------------------------------------------------------------
@@ -174,13 +155,6 @@ def closed_measure(kind: MeasureKind, n: int, x, _h0: int = 1) -> Fraction:
     return _CLOSED[kind](n, x, _h0)
 
 
-def measure_at(kind: MeasureKind, n: int, x) -> PiecewiseValue:
-    """Closed-form evaluation together with the index of the active piece."""
-    x = Fraction(x)
-    piece = sum(1 for b in piece_boundaries(kind, n) if x >= b)
-    return PiecewiseValue(closed_measure(kind, n, x), piece)
-
-
 # ---------------------------------------------------------------------------
 # Exact evaluation through the transform (the symbolic second route)
 # ---------------------------------------------------------------------------
@@ -204,7 +178,7 @@ def invert_transform(poly: ExpPoly, n_vars: int, x, _h0: int = 1) -> Fraction:
 
 
 def f_closed(n: int, x, _h0: int = 1) -> Fraction:
-    """Exact f_n(x) via the transform recursion (independent of f_oracle)."""
+    """Exact f_n(x) via the transform recursion."""
     if n < 1:
         raise DomainError(f"f_closed requires n >= 1, got {n}")
     return invert_transform(f_tilde_recursive(n), n, x, _h0)
@@ -220,195 +194,6 @@ def b_from_transform(n: int, x, _h0: int = 1) -> Fraction:
 
 def c_from_transform(n: int, x, _h0: int = 1) -> Fraction:
     return invert_transform(c_tilde(n), n + 1, x, _h0)
-
-
-# ---------------------------------------------------------------------------
-# Numeric oracle for f_n: grid convolutions + quadrature of the recursion
-# ---------------------------------------------------------------------------
-
-_GAUSS_NODES = 12
-
-
-def _scaled_window_integral(conv_eval, xs: np.ndarray, m: int, nodes: int = _GAUSS_NODES) -> np.ndarray:
-    """int_0^1 conv(x/p + 1) p^(m-2) dp for every x in xs, vectorized.
-
-    The integrand is piecewise smooth in p with breakpoints where x/p + 1
-    crosses an integer knot of conv, i.e. p = x/(q-1); Gauss-Legendre panels
-    are split exactly there so kinks and jumps never sit inside a panel.
-    """
-    glx, glw = np.polynomial.legendre.leggauss(nodes)
-    qs = np.array([q for q in range(-(m + 2), m + 3) if q != 1], dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cand = xs[None, :] / (qs[:, None] - 1.0)
-    cand = np.where(np.isfinite(cand), cand, 0.0)
-    cand = np.clip(cand, 0.0, 1.0)
-    edges = np.vstack([np.zeros_like(xs), cand, np.ones_like(xs)])
-    edges.sort(axis=0)
-    total = np.zeros_like(xs)
-    for r in range(edges.shape[0] - 1):
-        lo, hi = edges[r], edges[r + 1]
-        half = (hi - lo) / 2
-        mid = (hi + lo) / 2
-        if not np.any(half > 0):
-            continue
-        for t, wgt in zip(glx, glw):
-            p = mid + half * t
-            ok = p > 0
-            p_safe = np.where(ok, p, 1.0)
-            vals = conv_eval(xs / p_safe + 1.0) * p_safe ** (m - 2)
-            total += np.where(ok, wgt * half * vals, 0.0)
-    return total
-
-
-@lru_cache(maxsize=None)
-def _f_grid(m: int, resolution: int):
-    """Samples of f_m on a uniform grid of step 1/resolution over [-m-1, m+1].
-
-    Built level by level from the defining recursion: grid convolutions for
-    (f_{i-1} * f_{n-i}), then breakpoint-split Gauss quadrature over the
-    scaling variable p.  Returns (lo_index, values); grid point j is x = j*h.
-    """
-    h = 1.0 / resolution
-    if m == 0:
-        raise ValueError("f_0 is the convolution identity, not a grid function")
-    lo = -(m + 1) * resolution
-    hi = (m + 1) * resolution
-    xs = np.arange(lo, hi + 1) * h
-    if m == 1:
-        vals = np.where(np.abs(xs) < 1.0, 1.0, 0.0)
-        vals[np.isclose(np.abs(xs), 1.0)] = 0.5  # trapezoid weight at the jump
-        return lo, vals
-
-    def rect_eval(y):
-        return (np.abs(y) <= 1.0).astype(float)
-
-    def grid_eval(q):
-        q_lo, q_vals = _f_grid(q, resolution)
-        q_xs = (np.arange(len(q_vals)) + q_lo) * h
-        if q == 2:
-            # f_2 jumps at x = 0; the stored midpoint value is right for
-            # trapezoid convolution but direct lookups need one-sided values,
-            # so duplicate the node with linear extrapolation from each side
-            i0 = -q_lo
-            left = 2 * q_vals[i0 - 1] - q_vals[i0 - 2]
-            right = 2 * q_vals[i0 + 1] - q_vals[i0 + 2]
-            q_xs = np.concatenate([q_xs[:i0], [0.0, 0.0], q_xs[i0 + 1 :]])
-            q_vals = np.concatenate([q_vals[:i0], [left, right], q_vals[i0 + 1 :]])
-        return lambda y: np.interp(y, q_xs, q_vals, left=0.0, right=0.0)
-
-    # convolution evaluators for (f_{i-1} * f_{m-i}), i = 1..m; f_0 is the
-    # identity, and the bare f_1 factor is evaluated analytically (it jumps)
-    evaluators = {}
-    for i in range(1, m + 1):
-        j, k = min(i - 1, m - i), max(i - 1, m - i)
-        if (j, k) in evaluators:
-            continue
-        if j == 0:
-            evaluators[(j, k)] = rect_eval if k == 1 else grid_eval(k)
-        else:
-            lo_j, vj = _f_grid(j, resolution)
-            lo_k, vk = _f_grid(k, resolution)
-            conv_vals = np.convolve(vj, vk) * h
-            conv_xs = (np.arange(len(conv_vals)) + lo_j + lo_k) * h
-            evaluators[(j, k)] = (
-                lambda y, cx=conv_xs, cv=conv_vals: np.interp(y, cx, cv, left=0.0, right=0.0)
-            )
-
-    total = np.zeros_like(xs)
-    for i in range(1, m + 1):
-        key = (min(i - 1, m - i), max(i - 1, m - i))
-        total += _scaled_window_integral(evaluators[key], xs, m)
-    if m == 2:
-        total[-lo] *= 0.5  # f_2 jumps at x = 0; trapezoid weight needs the midpoint value
-    return lo, total
-
-
-def f_oracle(n: int, x: float, resolution: int = 1024) -> float:
-    """Numeric f_n(x) straight from the convolution recursion.
-
-    Accuracy is ~1e-5 absolute at the default resolution for n <= 6, well
-    inside the 1e-4 target.  n = 1 returns the rectangle base case.
-    """
-    if n < 1 or n > 6:
-        raise DomainError(f"f_oracle supports 1 <= n <= 6, got {n}")
-    lo, vals = _f_grid(n, resolution)
-    h = 1.0 / resolution
-    xs = (np.arange(len(vals)) + lo) * h
-    return float(np.interp(x, xs, vals, left=0.0, right=0.0))
-
-
-# ---------------------------------------------------------------------------
-# Monte Carlo set-sampling oracle
-# ---------------------------------------------------------------------------
-
-_MIN_ORACLE_SAMPLES = 10**5
-# draws per (v, m) chunk; which draw feeds which variable depends on m, so
-# changing this changes every verify-measures number
-_ORACLE_CHUNK = 250_000
-# columns per counting block; any value gives the same counts, this one keeps
-# bound and the pair sums in cache
-_COLUMN_BLOCK = 8192
-
-
-def _constraint_pairs(kind: MeasureKind, n: int) -> list[tuple[int, int]]:
-    """The adjacent pairs whose sums the measure bounds, over its variables."""
-    if kind is MeasureKind.F_LINEAR:
-        return [(i, i + 1) for i in range(n - 1)]
-    if kind is MeasureKind.C_LINEAR_GE:
-        # interior pairs (x_i, x_{i+1}), 2 <= i <= n-1, of the n+1 chain variables
-        return [(i, i + 1) for i in range(1, n - 1)]
-    return [(i, (i + 1) % n) for i in range(n)]
-
-
-def density_oracle(kind: MeasureKind, n: int, x: float, samples: int = 10**6, seed: int = 0) -> DensityEstimate:
-    """Monte Carlo estimate of the density-of-sum measure at x.
-
-    Samples the simplex slice {y_i >= 0, sum y_i = S} exactly, with v = n
-    variables (n + 1 for C) and S = x + v: a point is v standard
-    exponentials e scaled by S / sum(e).  The measure is the slice volume
-    S^(v-1)/(v-1)! times the fraction of points whose constrained adjacent
-    pairs satisfy y_i + y_j <= 2 (F, A) or >= 2 (B, C), which on the raw
-    draws reads e_i + e_j against 2 sum(e) / S.  No smoothing window enters,
-    so the estimate is unbiased.  (For F the upper bounds y_i <= 2 follow
-    from the pair constraints, since every variable sits in a pair.)
-
-    The (v, m) draw is variable-major, so which draw feeds which variable,
-    and so the estimate, depends on _ORACLE_CHUNK.  The column blocks that
-    count the hits do not: each column sum adds the same v values in order.
-    """
-    if n < 2 or n > 6:
-        raise DomainError(f"density_oracle supports 2 <= n <= 6, got {n}")
-    if samples < _MIN_ORACLE_SAMPLES:
-        raise DomainError(f"at least {_MIN_ORACLE_SAMPLES} samples required, got {samples}")
-    v = n + 1 if kind is MeasureKind.C_LINEAR_GE else n
-    total_sum = x + v
-    if total_sum <= 0:
-        return DensityEstimate(value=0.0, std_error=1.0 / samples, samples=samples)
-    pairs = _constraint_pairs(kind, n)
-    compare = np.less_equal if kind in (MeasureKind.F_LINEAR, MeasureKind.A_CYCLIC) else np.greater_equal
-
-    def count(rng, m):
-        draws = rng.standard_exponential((v, m))
-        hits = 0
-        for start in range(0, m, _COLUMN_BLOCK):
-            e = draws[:, start : start + _COLUMN_BLOCK]
-            bound = e.sum(axis=0)
-            bound *= 2.0 / total_sum
-            ok = np.ones(e.shape[1], dtype=bool)
-            for i, j in pairs:
-                ok &= compare(e[i] + e[j], bound)
-            hits += int(np.count_nonzero(ok))
-        return hits
-
-    hits = _chunked_count(np.random.default_rng(seed), samples, count, _ORACLE_CHUNK)
-    volume = float(total_sum) ** (v - 1) / math.factorial(v - 1)
-    p_hat = hits / samples
-    p_safe = min(max(p_hat, 1.0 / samples), 1.0 - 1.0 / samples)
-    return DensityEstimate(
-        value=p_hat * volume,
-        std_error=volume * math.sqrt(p_safe * (1 - p_safe) / samples),
-        samples=samples,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -497,45 +282,6 @@ def support_report(n_max: int = 6) -> Report:
                 {"kind": kind.value, "n": n},
             )
     return rep
-
-
-def oracle_rows(n_max: int = 5, samples: int = 10**6, seed: int = 42, points: int = 10) -> list[dict]:
-    """Closed-form vs Monte Carlo comparison rows for every measure family."""
-    rows = []
-    for kind in MeasureKind:
-        for n in range(2, n_max + 1):
-            for idx, x in enumerate(interior_grid(kind, n, points)):
-                if kind is MeasureKind.F_LINEAR:
-                    closed = f_closed(n, x)
-                else:
-                    closed = closed_measure(kind, n, x)
-                est = density_oracle(kind, n, float(x), samples, seed=seed + 1000 * n + idx)
-                z = (est.value - float(closed)) / est.std_error if est.std_error else 0.0
-                rows.append(
-                    {
-                        "kind": kind.value,
-                        "n": n,
-                        "x": str(x),
-                        "closed": float(closed),
-                        "oracle": est.value,
-                        "std_err": est.std_error,
-                        "z": z,
-                    }
-                )
-    return rows
-
-
-def oracle_report(n_max: int = 5, samples: int = 10**6, seed: int = 42, z_max: float = 4.0) -> tuple[Report, list[dict]]:
-    rows = oracle_rows(n_max=n_max, samples=samples, seed=seed)
-    rep = Report("measure_oracle")
-    worst = max(rows, key=lambda r: abs(r["z"]))
-    rep.add(
-        "all_z_scores_within_bound",
-        all(abs(r["z"]) <= z_max for r in rows),
-        {"n_max": n_max, "samples": samples, "seed": seed, "z_max": z_max},
-        f"worst |z|={abs(worst['z']):.2f} at kind={worst['kind']} n={worst['n']} x={worst['x']}",
-    )
-    return rep, rows
 
 
 def transform_crosscheck_report(n_max: int = 7) -> Report:

@@ -1,14 +1,16 @@
-"""Stochastic oracles: minimum-window sampling and the circle-coverage dual.
+"""Stochastic oracles: minimum-window sampling, the circle-coverage dual and
+the measure oracle with its report.
 
-Every estimate is a pure function of (seed, samples): draws come from the
-first child of SeedSequence(seed), so results are reproducible bit for bit.
-Both samplers here draw rng.random((rows, N)), which fills whole rows in
-order, so sweeping blocks of _ROW_BLOCK rows gives the estimates of one
-monolithic draw for any block size.  The block loop, _chunked_count, is
-shared with the variable-major measure oracle in `measures`, whose
-estimates do depend on its chunk size.  Confidence intervals are Wilson
-score intervals, which behave correctly near 0 and 1 where the saturation
-tests live.
+This is the only module that imports numpy; the exact layers never load it.
+Every estimate is a pure function of (seed, samples), so results are
+reproducible bit for bit, and a negative seed is a DomainError.  The two
+window samplers draw from the first child of SeedSequence(seed) with
+rng.random((rows, N)), which fills whole rows in order, so sweeping blocks
+of _ROW_BLOCK rows gives the estimates of one monolithic draw for any block
+size.  The measure oracle draws from default_rng(seed) variable-major, so
+its estimates do depend on its chunk size.  All three share one block loop,
+_chunked_count.  Confidence intervals are Wilson score intervals, which
+behave correctly near 0 and 1 where the saturation tests live.
 """
 
 from __future__ import annotations
@@ -19,11 +21,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exactnum import DomainError
+from .measures import MeasureKind, closed_measure, interior_grid
+from .report import Report
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 
 # rows per block of the row-major samplers; any value gives the same estimates
 _ROW_BLOCK = 4096
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
 
 
 @dataclass(frozen=True)
@@ -38,6 +47,7 @@ class SimConfig:
             raise DomainError(f"need 2 <= k <= N, got k={self.k}, N={self.N}")
         if self.samples < 1:
             raise DomainError("samples must be >= 1")
+        _check_seed(self.seed)
 
 
 @dataclass
@@ -178,6 +188,7 @@ def coverage_dual(N: int, k: int, w: float, samples: int, seed: int = 0) -> CdfE
         raise DomainError(f"need 2 <= k <= N, got k={k}, N={N}")
     if not 0 < w < 1:
         raise DomainError(f"need 0 < w < 1, got {w}")
+    _check_seed(seed)
     arc_len = 1.0 - w
     need = N + 1 - k
 
@@ -187,3 +198,122 @@ def coverage_dual(N: int, k: int, w: float, samples: int, seed: int = 0) -> CdfE
     hits = _chunked_count(_seeded_rng(seed), samples, count, _ROW_BLOCK)
     lo, hi = wilson_interval(hits, samples)
     return CdfEstimate(w, hits / samples, lo, hi, samples)
+
+
+# ---------------------------------------------------------------------------
+# Measure oracle
+# ---------------------------------------------------------------------------
+
+_MIN_ORACLE_SAMPLES = 10**5
+# draws per (v, m) chunk; which draw feeds which variable depends on m, so
+# changing this changes every verify-measures number
+_ORACLE_CHUNK = 250_000
+# columns per counting block; any value gives the same counts, this one keeps
+# bound and the pair sums in cache
+_COLUMN_BLOCK = 8192
+
+
+@dataclass
+class DensityEstimate:
+    value: float
+    std_error: float
+    samples: int
+
+
+def _constraint_pairs(kind: MeasureKind, n: int) -> list[tuple[int, int]]:
+    """The adjacent pairs whose sums the measure bounds, over its variables."""
+    if kind is MeasureKind.F_LINEAR:
+        return [(i, i + 1) for i in range(n - 1)]
+    if kind is MeasureKind.C_LINEAR_GE:
+        # interior pairs (x_i, x_{i+1}), 2 <= i <= n-1, of the n+1 chain variables
+        return [(i, i + 1) for i in range(1, n - 1)]
+    return [(i, (i + 1) % n) for i in range(n)]
+
+
+def density_oracle(kind: MeasureKind, n: int, x: float, samples: int = 10**6, seed: int = 0) -> DensityEstimate:
+    """Monte Carlo estimate of the density-of-sum measure at x.
+
+    Samples the simplex slice {y_i >= 0, sum y_i = S} exactly, with v = n
+    variables (n + 1 for C) and S = x + v: a point is v standard
+    exponentials e scaled by S / sum(e).  The measure is the slice volume
+    S^(v-1)/(v-1)! times the fraction of points whose constrained adjacent
+    pairs satisfy y_i + y_j <= 2 (F, A) or >= 2 (B, C), which on the raw
+    draws reads e_i + e_j against 2 sum(e) / S.  No smoothing window enters,
+    so the estimate is unbiased.  (For F the upper bounds y_i <= 2 follow
+    from the pair constraints, since every variable sits in a pair.)
+
+    The (v, m) draw is variable-major, so which draw feeds which variable,
+    and so the estimate, depends on _ORACLE_CHUNK.  The column blocks that
+    count the hits do not: each column sum adds the same v values in order.
+    """
+    if n < 2 or n > 6:
+        raise DomainError(f"density_oracle supports 2 <= n <= 6, got {n}")
+    if samples < _MIN_ORACLE_SAMPLES:
+        raise DomainError(f"at least {_MIN_ORACLE_SAMPLES} samples required, got {samples}")
+    _check_seed(seed)
+    v = n + 1 if kind is MeasureKind.C_LINEAR_GE else n
+    total_sum = x + v
+    if total_sum <= 0:
+        return DensityEstimate(value=0.0, std_error=1.0 / samples, samples=samples)
+    pairs = _constraint_pairs(kind, n)
+    compare = np.less_equal if kind in (MeasureKind.F_LINEAR, MeasureKind.A_CYCLIC) else np.greater_equal
+
+    def count(rng, m):
+        draws = rng.standard_exponential((v, m))
+        hits = 0
+        for start in range(0, m, _COLUMN_BLOCK):
+            e = draws[:, start : start + _COLUMN_BLOCK]
+            bound = e.sum(axis=0)
+            bound *= 2.0 / total_sum
+            ok = np.ones(e.shape[1], dtype=bool)
+            for i, j in pairs:
+                ok &= compare(e[i] + e[j], bound)
+            hits += int(np.count_nonzero(ok))
+        return hits
+
+    hits = _chunked_count(np.random.default_rng(seed), samples, count, _ORACLE_CHUNK)
+    volume = float(total_sum) ** (v - 1) / math.factorial(v - 1)
+    p_hat = hits / samples
+    p_safe = min(max(p_hat, 1.0 / samples), 1.0 - 1.0 / samples)
+    return DensityEstimate(
+        value=p_hat * volume,
+        std_error=volume * math.sqrt(p_safe * (1 - p_safe) / samples),
+        samples=samples,
+    )
+
+
+def oracle_rows(n_max: int = 5, samples: int = 10**6, seed: int = 42, points: int = 10) -> list[dict]:
+    """Closed-form vs Monte Carlo comparison rows for every measure family."""
+    _check_seed(seed)
+    rows = []
+    for kind in MeasureKind:
+        for n in range(2, n_max + 1):
+            for idx, x in enumerate(interior_grid(kind, n, points)):
+                closed = closed_measure(kind, n, x)
+                est = density_oracle(kind, n, float(x), samples, seed=seed + 1000 * n + idx)
+                z = (est.value - float(closed)) / est.std_error if est.std_error else 0.0
+                rows.append(
+                    {
+                        "kind": kind.value,
+                        "n": n,
+                        "x": str(x),
+                        "closed": float(closed),
+                        "oracle": est.value,
+                        "std_err": est.std_error,
+                        "z": z,
+                    }
+                )
+    return rows
+
+
+def oracle_report(n_max: int = 5, samples: int = 10**6, seed: int = 42, z_max: float = 4.0) -> tuple[Report, list[dict]]:
+    rows = oracle_rows(n_max=n_max, samples=samples, seed=seed)
+    rep = Report("measure_oracle")
+    worst = max(rows, key=lambda r: abs(r["z"]))
+    rep.add(
+        "all_z_scores_within_bound",
+        all(abs(r["z"]) <= z_max for r in rows),
+        {"n_max": n_max, "samples": samples, "seed": seed, "z_max": z_max},
+        f"worst |z|={abs(worst['z']):.2f} at kind={worst['kind']} n={worst['n']} x={worst['x']}",
+    )
+    return rep, rows

@@ -79,7 +79,7 @@ def test_criterion_4_measure_oracles():
     t0 = time.time()
     assert ms.a_closed(2, -1) == 1
     assert ms.b_closed(2, 1) == 3
-    report, rows = ms.oracle_report(n_max=5, samples=10**6, seed=42, z_max=4.0)
+    report, rows = mc.oracle_report(n_max=5, samples=10**6, seed=42, z_max=4.0)
     assert report.passed, report.first_failure().detail
     elapsed = time.time() - t0
     assert elapsed < 300.0

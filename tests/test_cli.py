@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -127,6 +131,24 @@ class TestErrors:
         failing = Report("demo")
         failing.add("broken", False, detail="nope")
         assert cli._report_exit(failing, "text") == 3
+
+
+def test_exact_commands_load_no_numpy():
+    # only the sampling commands import montecarlo, and with it numpy; the
+    # benchmark tracer looks measures and genseries up in sys.modules
+    code = (
+        "import contextlib, io, sys\n"
+        "import scanstat, scanstat.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['eval', '--stat', 'p-3', '--N', '40', '--w', '1/50']) == 0\n"
+        "assert 'numpy' not in sys.modules\n"
+        "assert 'scanstat.montecarlo' not in sys.modules\n"
+        "assert {'scanstat.measures', 'scanstat.genseries'} <= set(sys.modules)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestTable:

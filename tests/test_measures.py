@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import scanstat.measures as ms
+import scanstat.montecarlo as mc
 from scanstat.exactnum import DomainError
 from scanstat.measures import MeasureKind
 
@@ -117,47 +118,29 @@ class TestTransformCrosscheck:
         assert ms.f_closed(1, F(101, 100)) == 0
 
 
-class TestFOracle:
-    def test_base_values(self):
-        assert ms.f_oracle(2, -1.0) == pytest.approx(1.0, abs=1e-4)
-        assert ms.f_oracle(1, 0.0) == 1.0
-        assert ms.f_oracle(2, 1.0) == pytest.approx(0.0, abs=1e-4)
-
-    def test_against_exact_transform_inversion(self):
-        for n in range(2, 7):
-            for j in range(1, 13):
-                x = F(-n) + F(2 * n * j, 13)
-                got = ms.f_oracle(n, float(x))
-                assert got == pytest.approx(float(ms.f_closed(n, x)), abs=1e-4), (n, x)
-
-    def test_out_of_range(self):
-        with pytest.raises(DomainError):
-            ms.f_oracle(7, 0.0)
-
-
 class TestDensityOracle:
     def test_a2_point(self):
-        est = ms.density_oracle(MeasureKind.A_CYCLIC, 2, -1.0, samples=200_000, seed=1)
+        est = mc.density_oracle(MeasureKind.A_CYCLIC, 2, -1.0, samples=200_000, seed=1)
         assert abs(est.value - 1.0) <= 3 * est.std_error
 
     def test_b2_point(self):
-        est = ms.density_oracle(MeasureKind.B_CYCLIC_GE, 2, 1.0, samples=200_000, seed=2)
+        est = mc.density_oracle(MeasureKind.B_CYCLIC_GE, 2, 1.0, samples=200_000, seed=2)
         assert abs(est.value - 3.0) <= 3 * est.std_error
 
     def test_f2_point(self):
-        est = ms.density_oracle(MeasureKind.F_LINEAR, 2, -1.0, samples=200_000, seed=3)
-        assert abs(est.value - ms.f_oracle(2, -1.0)) <= 3 * est.std_error
+        est = mc.density_oracle(MeasureKind.F_LINEAR, 2, -1.0, samples=200_000, seed=3)
+        assert abs(est.value - float(ms.f_closed(2, -1))) <= 3 * est.std_error
 
     def test_c3_point(self):
-        est = ms.density_oracle(MeasureKind.C_LINEAR_GE, 3, 1.5, samples=200_000, seed=4)
+        est = mc.density_oracle(MeasureKind.C_LINEAR_GE, 3, 1.5, samples=200_000, seed=4)
         assert abs(est.value - float(ms.c_closed(3, F(3, 2)))) <= 3 * est.std_error
 
     def test_insufficient_samples_rejected(self):
         with pytest.raises(DomainError):
-            ms.density_oracle(MeasureKind.A_CYCLIC, 2, -1.0, samples=10_000)
+            mc.density_oracle(MeasureKind.A_CYCLIC, 2, -1.0, samples=10_000)
 
     def test_estimate_fields(self):
-        est = ms.density_oracle(MeasureKind.B_CYCLIC_GE, 3, 1.0, samples=100_000, seed=5)
+        est = mc.density_oracle(MeasureKind.B_CYCLIC_GE, 3, 1.0, samples=100_000, seed=5)
         assert est.samples == 100_000
         assert est.std_error > 0
         assert est.value >= 0
@@ -174,7 +157,7 @@ class TestDensityOracle:
         ids=["a5", "f4", "a4"],
     )
     def test_support_edge_cells(self, kind, n, x, seed):
-        est = ms.density_oracle(kind, n, float(x), samples=10**6, seed=seed)
+        est = mc.density_oracle(kind, n, float(x), samples=10**6, seed=seed)
         assert abs(est.value - float(ms.closed_measure(kind, n, x))) <= 4 * est.std_error
 
     @pytest.mark.parametrize("n", [2, 5])
@@ -194,19 +177,19 @@ class TestDensityOracle:
             bound = e.sum(axis=0)
             bound *= 2.0 / total_sum
             ok = np.ones(m, dtype=bool)
-            for i, j in ms._constraint_pairs(kind, n):
+            for i, j in mc._constraint_pairs(kind, n):
                 ok &= compare(e[i] + e[j], bound)
             hits += int(np.count_nonzero(ok))
         assert hits > 0
         volume = total_sum ** (v - 1) / math.factorial(v - 1)
-        est = ms.density_oracle(kind, n, x, samples, seed=7)
+        est = mc.density_oracle(kind, n, x, samples, seed=7)
         assert est.value == hits / samples * volume
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", range(25))
 def test_oracle_report_passes_at_every_seed(seed):
-    report, _ = ms.oracle_report(5, 10**6, seed=seed, z_max=4.0)
+    report, _ = mc.oracle_report(5, 10**6, seed=seed, z_max=4.0)
     assert report.passed, report.first_failure().detail
 
 
@@ -237,19 +220,12 @@ class TestOpenChainSetReading:
         assert abs(value - float(ms.c_closed(2, 1))) > 10 * se  # and rejects c_2 = 8
 
     def test_interior_reading_agrees(self):
-        est = ms.density_oracle(MeasureKind.C_LINEAR_GE, 2, 1.0, samples=400_000, seed=123)
+        est = mc.density_oracle(MeasureKind.C_LINEAR_GE, 2, 1.0, samples=400_000, seed=123)
         assert abs(est.value - 8.0) <= 4 * est.std_error
 
 
-def test_measure_at_reports_piece():
-    v = ms.measure_at(MeasureKind.A_CYCLIC, 3, F(-3, 2))
-    assert v.value == F(9, 8)
-    assert v.piece == 2  # boundaries -3 and -2 are at or below x = -3/2
-    assert ms.measure_at(MeasureKind.B_CYCLIC_GE, 4, F(-1)).piece == 0
-
-
 def test_oracle_rows_structure():
-    rows = ms.oracle_rows(n_max=2, samples=100_000, seed=9, points=3)
+    rows = mc.oracle_rows(n_max=2, samples=100_000, seed=9, points=3)
     assert len(rows) == 4 * 3
     assert {r["kind"] for r in rows} == {"f", "a", "b", "c"}
     assert all(r["std_err"] > 0 for r in rows)

@@ -6,6 +6,7 @@ import pytest
 import scanstat.montecarlo as mc
 import scanstat.scanprob as sp
 from scanstat.exactnum import DomainError
+from scanstat.measures import MeasureKind
 
 F = Fraction
 
@@ -126,6 +127,23 @@ class TestWilson:
     def test_needs_a_trial(self):
         with pytest.raises(DomainError):
             mc.wilson_interval(0, 0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: mc.empirical_cdf(mc.SimConfig(5, 3, 1_000, seed=-1), "linear", [0.5]),
+        lambda: mc.coverage_dual(5, 4, 0.5, 1_000, seed=-1),
+        lambda: mc.density_oracle(MeasureKind.A_CYCLIC, 2, -1.0, samples=100_000, seed=-1),
+        lambda: mc.oracle_report(seed=-3000),
+        # the oracle cells offset the seed by 1000 n + idx, so -1 must fail before that
+        lambda: mc.oracle_report(seed=-1),
+    ],
+    ids=["empirical_cdf", "coverage_dual", "density_oracle", "oracle_report_-3000", "oracle_report_-1"],
+)
+def test_negative_seed_is_a_domain_error(call):
+    with pytest.raises(DomainError, match="seed must be >= 0"):
+        call()
 
 
 # not a multiple of the block, so the last block is partial
