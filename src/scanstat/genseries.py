@@ -286,19 +286,19 @@ def f_tilde_recursive(n: int) -> ExpPoly:
 
     The recursion applies only for n >= 2; running it at n = 1 would produce
     e^s - 1, not the rectangle transform e^s - e^{-s}, so the two base cases
-    are pinned explicitly.  Results are memoized (the recursion is quadratic
-    per level but exponential without the cache).
+    are pinned explicitly.  Each level sums its n//2 distinct products once and
+    integrates once; results are memoized (exponential without the cache).
     """
     if n < 0:
         raise DomainError("n must be >= 0")
     if n in _F_TILDE_MEMO:
         return _F_TILDE_MEMO[n]
-    total = ExpPoly.zero()
-    for i in range(1, n + 1):
-        product = _EXP_S * f_tilde_recursive(i - 1) * f_tilde_recursive(n - i)
-        total = total + product.integrate_0_to_s()
-    _F_TILDE_MEMO[n] = total
-    return total
+    half = ExpPoly.zero()  # products i and n+1-i are equal, and integration is linear
+    for i in range(1, n // 2 + 1):
+        half = half + f_tilde_recursive(i - 1) * f_tilde_recursive(n - i)
+    mid = f_tilde_recursive(n // 2) if n % 2 else ExpPoly.zero()
+    _F_TILDE_MEMO[n] = (_EXP_S * (half + half + mid * mid)).integrate_0_to_s()
+    return _F_TILDE_MEMO[n]
 
 
 # ---------------------------------------------------------------------------

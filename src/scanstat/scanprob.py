@@ -9,10 +9,12 @@ smallest window containing k of them, and the CDFs evaluated here are
 
 Below the saturation threshold each survival probability is a finite signed
 binomial sum over the active floor(1/w)-indexed pieces; `binom_ext` silently
-kills out-of-range terms, and the only negative exponent that can survive the
-binomial gate is a single -1 whose base is provably nonzero in the valid
-regime.  Every value is an exact rational; a float is only ever reported as
-float(p), which is correctly rounded.
+kills out-of-range terms.  With w = a/b each base 1 - k w is (b - k a)/b and a
+term's exponents sum to N-1 (circular) or N (linear), so _finish sums integers
+over b^(N-1) (pc-nm1), 2 b^(N-1) (pc-3, whose N/2 term halves) or (N+2) b^N
+(p-3).  The one exponent -1 that survives the binomial gate cancels: against
+1 - N(1-w) in pc-nm1, and at C(N, N) in pc-3, where (Nw-3)/(1-Nw/3) = -3.
+Every value is an exact rational; float(p) is correctly rounded.
 
 A second, independent pathway to the same numbers normalizes the closed-form
 measures by the free simplex volume (measure_to_probability); classical
@@ -79,8 +81,21 @@ def _validate(N: int, w, n_min: int = 3) -> Fraction:
     return w
 
 
-def _finish(terms: list, sign: int) -> ProbValue:
-    survival = sign * sum(terms, Fraction(0))
+def _common_den(kind: ScanKind, N: int, w: Fraction) -> int:
+    """b^(N-1) for pc-nm1, 2 b^(N-1) for pc-3, (N+2) b^N for p-3, with w = a/b in lowest terms."""
+    b = w.denominator
+    return {ScanKind.PC_NM1: 1, ScanKind.PC_3: 2, ScanKind.P_3: (N + 2) * b}[kind] * b ** (N - 1)
+
+
+def _finish(terms: list, sign: int, den: int) -> ProbValue:
+    """Sum the terms as ints over den, which clears each one (module docstring); else raise."""
+    total = 0
+    for t in terms:
+        q, r = divmod(den, t.denominator)
+        if r:
+            raise ArithmeticError(f"term denominator {t.denominator} does not divide {den}")
+        total += t.numerator * q
+    survival = Fraction(sign * total, den)
     return ProbValue(1 - survival, survival, Regime.BELOW_THRESHOLD, sum(1 for t in terms if t != 0))
 
 
@@ -112,7 +127,7 @@ def pc_nm1(N: int, w) -> ProbValue:
     w = _validate(N, w)
     if w >= threshold(ScanKind.PC_NM1, N):
         return _saturated()
-    return _finish(_pc_nm1_terms(N, w, math.floor(1 / (1 - w))), 1)
+    return _finish(_pc_nm1_terms(N, w, math.floor(1 / (1 - w))), 1, _common_den(ScanKind.PC_NM1, N, w))
 
 
 def _last_p(N: int, p_max: int) -> int:
@@ -145,7 +160,7 @@ def pc_3(N: int, w) -> ProbValue:
         return _saturated()
     if w == 0:
         return _zero()
-    return _finish(_pc_3_terms(N, w, math.floor(1 / w)), (-1) ** (N - 1))
+    return _finish(_pc_3_terms(N, w, math.floor(1 / w)), (-1) ** (N - 1), _common_den(ScanKind.PC_3, N, w))
 
 
 def _p_lin_3_terms(N: int, w: Fraction, p_max: int) -> list:
@@ -172,7 +187,7 @@ def p_lin_3(N: int, w) -> ProbValue:
         return _saturated()  # threshold 2/(N-2) = 1 reached at the domain edge
     if w == 0:
         return _zero()
-    return _finish(_p_lin_3_terms(N, w, math.floor(1 / w) + 1), (-1) ** (N - 1))
+    return _finish(_p_lin_3_terms(N, w, math.floor(1 / w) + 1), (-1) ** (N - 1), _common_den(ScanKind.P_3, N, w))
 
 
 _EVALUATORS = {
@@ -328,6 +343,6 @@ def floor_boundary_gap(kind: ScanKind, N: int, j: int) -> Fraction:
         raise DomainError(f"junction w={w} outside the valid regime")
     hi = j + 1 if kind is ScanKind.P_3 else j
     sign = 1 if kind is ScanKind.PC_NM1 else (-1) ** (N - 1)
-    with_term = _finish(_TERMS[kind](N, w, hi), sign)
-    without = _finish(_TERMS[kind](N, w, hi - 1), sign)
+    with_term = _finish(_TERMS[kind](N, w, hi), sign, _common_den(kind, N, w))
+    without = _finish(_TERMS[kind](N, w, hi - 1), sign, _common_den(kind, N, w))
     return with_term.p - without.p

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scanstat.cli as cli
 import scanstat.scanprob as sp
@@ -207,6 +209,54 @@ class TestProperties:
                     except DomainError:
                         continue
                     assert gap == 0, (kind, N, j)
+
+
+# Hypothesis properties over rational widths with denominators up to 10^12, drawn
+# up to 5/4 of the threshold so most land below it.  Derandomized, so every run
+# checks the same examples; the three tests together take about 1 s.
+KERNEL_PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
+
+
+@st.composite
+def _large_denominator(draw, top):
+    b = draw(st.integers(min_value=10**6, max_value=10**12))
+    return F(draw(st.integers(min_value=1, max_value=math.floor(top * b))), b)
+
+
+def _widths(kind, N):
+    top = min(F(1), sp.threshold(kind, N) * F(5, 4))
+    return st.one_of(st.fractions(min_value=0, max_value=top, max_denominator=10**12), _large_denominator(top))
+
+
+@st.composite
+def _cells(draw, widths=1):
+    kind = draw(st.sampled_from(list(ScanKind)))
+    N = draw(st.integers(min_value=3, max_value=40))
+    return (kind, N, *(draw(_widths(kind, N)) for _ in range(widths)))
+
+
+@KERNEL_PROPERTY
+@given(_cells())
+def test_property_probability_and_survival(cell):
+    kind, N, w = cell
+    value = sp._EVALUATORS[kind](N, w)
+    assert 0 <= value.p <= 1
+    assert value.p + value.survival == 1
+
+
+@KERNEL_PROPERTY
+@given(_cells(widths=2))
+def test_property_monotone_in_w(cell):
+    kind, N, w1, w2 = cell
+    lo, hi = sorted((w1, w2))
+    assert sp._EVALUATORS[kind](N, lo).p <= sp._EVALUATORS[kind](N, hi).p
+
+
+@KERNEL_PROPERTY
+@given(st.integers(min_value=3, max_value=40).flatmap(lambda N: st.tuples(st.just(N), _widths(ScanKind.P_3, N))))
+def test_property_circular_dominates_linear(cell):
+    N, w = cell
+    assert sp.pc_3(N, w).p >= sp.p_lin_3(N, w).p
 
 
 class TestTabulateAndQuery:
