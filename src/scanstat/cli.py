@@ -119,13 +119,16 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _report_exit(report, fmt: str, extra: dict | None = None) -> int:
+def _report_exit(report, fmt: str, rows: list[dict] | None = None) -> int:
+    """Print a report, then its rows if any (a CSV table after the text); exit 3 if a check failed."""
     if fmt == "json":
         payload = {"command": report.suite, "report": report.to_dict()}
-        payload.update(extra or {})
+        if rows is not None:
+            payload["rows"] = rows
         _emit_json(payload)
     else:
         print(report.render_text())
+        _emit_csv(rows or [])
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
@@ -149,13 +152,7 @@ def _cmd_verify_measures(args) -> int:
         combined.checks.extend(sub.checks)
     oracle_rep, rows = montecarlo.oracle_report(args.n_max, args.samples, args.seed)
     combined.checks.extend(oracle_rep.checks)
-    if args.format == "json":
-        payload = {"command": "verify-measures", "report": combined.to_dict(), "rows": rows}
-        _emit_json(payload)
-    else:
-        print(combined.render_text())
-        _emit_csv(rows)
-    return EXIT_OK if combined.passed else EXIT_VERIFY
+    return _report_exit(combined, args.format, rows)
 
 
 def _cmd_cross_check(args) -> int:
@@ -178,7 +175,7 @@ def _cmd_cross_check(args) -> int:
                 w = upper * Fraction(j, 21)
                 if not 0 < w < thr:
                     continue
-                direct = scanprob._EVALUATORS[kind](N, w).p
+                direct = scanprob._cdf(kind, N, w).p
                 via_measure = scanprob.measure_to_probability(kind, N, w).p
                 if direct != via_measure:
                     mismatch = (N, str(w), str(direct), str(via_measure))

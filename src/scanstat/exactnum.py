@@ -1,12 +1,9 @@
-"""Exact rational arithmetic: extended binomial coefficients and safe integer powers.
+"""Exact-arithmetic helpers shared by the CDF kernel and the closed measures.
 
 Values are stdlib `fractions.Fraction`s, which already guarantee lowest terms
-and a positive denominator.  This module adds the two conventions the
-closed-form evaluators rely on:
-
-  * binom_ext(n, m) extends C(n, m) by 0 whenever m < 0, m > n, or m is not
-    an integer (so call sites may pass n/2 directly and get 0 for odd n);
-  * pow_int defines 0**0 == 1 and rejects 0 raised to a negative power.
+and a positive denominator, and plain ints; binomials and powers are
+`math.comb` and `**`.  This module adds the domain error every layer raises,
+the central binomial C(n, n/2) (0 for odd n) and an exact serializer.
 """
 
 from __future__ import annotations
@@ -15,36 +12,14 @@ import sys
 from fractions import Fraction
 from math import comb
 
+
 class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-def binom_ext(n: int, m) -> Fraction:
-    """Binomial coefficient C(n, m) with the extended convention.
-
-    Returns 0 for m < 0, m > n, or non-integer rational m.  Requires n >= 0.
-    """
-    if n < 0:
-        raise DomainError(f"binom_ext requires n >= 0, got n={n}")
-    m = Fraction(m)
-    if m.denominator != 1:
-        return Fraction(0)
-    k = int(m)
-    if k < 0 or k > n:
-        return Fraction(0)
-    return Fraction(comb(n, k))
-
-
-def pow_int(base, e: int):
-    """base**e for an exact base and integer e, defining 0**0 == 1.
-
-    Only 0 raised to a negative power is rejected.
-    """
-    if e < 0 and base == 0:
-        raise DomainError(f"0 cannot be raised to the negative power {e}")
-    if e == 0:
-        return base * 0 + 1  # preserves operand type; covers 0**0 == 1
-    return base**e
+def half_binom(n: int) -> int:
+    """C(n, n/2), which is 0 for odd n."""
+    return 0 if n % 2 else comb(n, n // 2)
 
 
 def format_rational(value: Fraction) -> str:

@@ -47,6 +47,7 @@ coefficients in a tuple, CatalanParams is frozen, and ExpPoly is immutable.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,6 +60,21 @@ DEFAULT_ORDER = 12
 
 # built series by (builder, order); see the module docstring
 _ORDER_MEMO: dict[tuple[str, int], object] = {}
+
+
+def _per_order(builder):
+    """Build once per order into _ORDER_MEMO; a negative order raises."""
+
+    @functools.wraps(builder)
+    def memoised(order: int = DEFAULT_ORDER):
+        if order < 0:
+            raise DomainError("order must be >= 0")
+        key = builder.__name__, order
+        if key not in _ORDER_MEMO:
+            _ORDER_MEMO[key] = builder(order)
+        return _ORDER_MEMO[key]
+
+    return memoised
 
 
 # ---------------------------------------------------------------------------
@@ -237,16 +253,13 @@ def catalan_number(m: int) -> int:
     return math.comb(2 * m, m) // (m + 1)
 
 
+@_per_order
 def catalan_params(order: int) -> CatalanParams:
     """The series z = sqrt(1-4t^2), C = (1-z)/(2t^2), a1 = 1 - t^2 C, a2 = t^2 C.
 
     C carries the Catalan numbers on even powers of t; z(0) = 1; a1 + a2 = 1
     and a1 * a2 = t^2 exactly.
     """
-    if order < 0:
-        raise DomainError("order must be >= 0")
-    if ("catalan", order) in _ORDER_MEMO:
-        return _ORDER_MEMO["catalan", order]
     coefs = [Fraction(0)] * (order + 1)
     for m in range(0, order // 2 + 1):
         coefs[2 * m] = Fraction(catalan_number(m))
@@ -256,18 +269,13 @@ def catalan_params(order: int) -> CatalanParams:
     z = one - t2c.scale(Fraction(2))
     alpha1 = one - t2c
     alpha2 = t2c
-    params = CatalanParams(z=z, C=c_series, alpha1=alpha1, alpha2=alpha2)
-    _ORDER_MEMO["catalan", order] = params
-    return params
+    return CatalanParams(z=z, C=c_series, alpha1=alpha1, alpha2=alpha2)
 
 
+@_per_order
 def tc_series(order: int) -> TruncSeries:
     """The series t*C, the ratio (a2+t)/(a1+t)."""
-    if ("tc", order) in _ORDER_MEMO:
-        return _ORDER_MEMO["tc", order]
-    tc = catalan_params(order).C.shift(1).truncate(order)
-    _ORDER_MEMO["tc", order] = tc
-    return tc
+    return catalan_params(order).C.shift(1).truncate(order)
 
 
 # ---------------------------------------------------------------------------
@@ -324,53 +332,43 @@ def _exp_linear_series(base: int, rate: TruncSeries, order: int) -> TruncSeries:
     return acc
 
 
+@_per_order
 def q_series(order: int) -> TruncSeries:
     """Q(t,s) = (a2+t) e^{a1 s} - (a1+t) e^{a2 s} as an ExpPoly series.
 
     Q(t,0) = -z, whose constant term -1 keeps Q invertible as a series.
     """
-    if ("q", order) in _ORDER_MEMO:
-        return _ORDER_MEMO["q", order]
     p = catalan_params(order)
     t = TruncSeries.t_power(1, order)
     e_a1 = _exp_linear_series(1, -p.alpha2, order)   # a1 = 1 - t^2 C
     e_a2 = _exp_linear_series(0, p.alpha2, order)
-    q = (p.alpha2 + t).lift() * e_a1 - (p.alpha1 + t).lift() * e_a2
-    _ORDER_MEMO["q", order] = q
-    return q
+    return (p.alpha2 + t).lift() * e_a1 - (p.alpha1 + t).lift() * e_a2
 
 
+@_per_order
 def r_series(order: int) -> TruncSeries:
     """R(t,s) = a2(a2+t) e^{-a1 s} - a1(a1+t) e^{-a2 s}; satisfies R/Q = F + t e^{-s}."""
-    if ("r", order) in _ORDER_MEMO:
-        return _ORDER_MEMO["r", order]
     p = catalan_params(order)
     t = TruncSeries.t_power(1, order)
     e_neg_a1 = _exp_linear_series(-1, p.alpha2, order)
     e_neg_a2 = _exp_linear_series(0, -p.alpha2, order)
-    r = (p.alpha2 * (p.alpha2 + t)).lift() * e_neg_a1 - (p.alpha1 * (p.alpha1 + t)).lift() * e_neg_a2
-    _ORDER_MEMO["r", order] = r
-    return r
+    return (p.alpha2 * (p.alpha2 + t)).lift() * e_neg_a1 - (p.alpha1 * (p.alpha1 + t)).lift() * e_neg_a2
 
 
+@_per_order
 def riccati_solution(order: int = DEFAULT_ORDER) -> TruncSeries:
     """F(t,s) = -e^{-s} (dQ/ds) / (t Q), exact to the requested order.
 
     dQ/ds has no constant t-coefficient, so dividing by t costs one order;
     everything is built one order higher internally to compensate.
     """
-    if order < 0:
-        raise DomainError("order must be >= 0")
-    if ("riccati", order) in _ORDER_MEMO:
-        return _ORDER_MEMO["riccati", order]
     work = order + 1
     q = q_series(work)
     p = q.map(lambda c: c.diff_s())
-    f = p.shift_down(1).divide(q.truncate(work - 1)).scale(ExpPoly.term(-1, 0, -1)).truncate(order)
-    _ORDER_MEMO["riccati", order] = f
-    return f
+    return p.shift_down(1).divide(q.truncate(work - 1)).scale(ExpPoly.term(-1, 0, -1)).truncate(order)
 
 
+@_per_order
 def a_tilde_series(order: int = DEFAULT_ORDER) -> TruncSeries:
     """A(t,s) = -ln(Q(t,s)/(-z)); n * [t^n] A is the cyclic <=-chain transform.
 
@@ -378,32 +376,25 @@ def a_tilde_series(order: int = DEFAULT_ORDER) -> TruncSeries:
     one-variable cycle), even though coefficient extraction is only ever used
     from n = 2 up.
     """
-    if ("a_tilde", order) in _ORDER_MEMO:
-        return _ORDER_MEMO["a_tilde", order]
     p = catalan_params(order)
     q = q_series(order)
     neg_z_inv = TruncSeries.constant(Fraction(1), order).divide(-p.z)
-    a = -(q * neg_z_inv.lift()).log()
-    _ORDER_MEMO["a_tilde", order] = a
-    return a
+    return -(q * neg_z_inv.lift()).log()
 
 
+@_per_order
 def b_c_tilde_series(order: int = DEFAULT_ORDER) -> tuple[TruncSeries, TruncSeries]:
     """The two inclusion-exclusion series for >=-constrained chains.
 
     Returns (B, C2) with B = -ln(R/(-z)) and C2 = (Q/R) e^{2s}; then
     b~_n = n (-1)^n [t^n] B and c~_n = (-1)^(n-1) [t^(n-1)] C2.
     """
-    if ("b_c_tilde", order) in _ORDER_MEMO:
-        return _ORDER_MEMO["b_c_tilde", order]
     p = catalan_params(order)
     q = q_series(order)
     r = r_series(order)
     neg_z_inv = TruncSeries.constant(Fraction(1), order).divide(-p.z)
     b = -(r * neg_z_inv.lift()).log()
-    pair = b, q.divide(r).scale(ExpPoly.exp(2))
-    _ORDER_MEMO["b_c_tilde", order] = pair
-    return pair
+    return b, q.divide(r).scale(ExpPoly.exp(2))
 
 
 def a_tilde(n: int) -> ExpPoly:

@@ -43,7 +43,7 @@ import math
 from enum import Enum
 from fractions import Fraction
 
-from .exactnum import DomainError
+from .exactnum import DomainError, half_binom
 from .exppoly import ExpPoly
 from .genseries import a_tilde, b_tilde, c_tilde, f_tilde_recursive
 from .report import Report
@@ -73,11 +73,6 @@ def _block(n: int, m: int, u: int, v: int) -> int:
     return u ** (m - 1) * v ** (n - 1 - m) * (math.comb(n - 1, m) * u - math.comb(n - 1, m - 1) * v)
 
 
-def _half_binom(n: int) -> int:
-    """C(n, n/2), which is 0 for odd n."""
-    return 0 if n % 2 else math.comb(n, n // 2)
-
-
 def a_closed(n: int, x, _h0: int = 1) -> Fraction:
     """Measure of the n-cycle with adjacent sums <= 2, exactly.
 
@@ -93,7 +88,7 @@ def a_closed(n: int, x, _h0: int = 1) -> Fraction:
     total = 2 * n * sum(lcm // i * _block(n, (n - i) // 2, p - i * q, p + i * q) for i in active)
     if _heaviside(p, _h0):
         total -= lcm * 2**n * p ** (n - 1)
-        total += lcm * _half_binom(n) * p ** (n - 2) * (p - n * q)
+        total += lcm * half_binom(n) * p ** (n - 2) * (p - n * q)
     return Fraction(total, 2 * lcm * math.factorial(n - 1) * q ** (n - 1))
 
 
@@ -112,7 +107,7 @@ def b_closed(n: int, x, _h0: int = 1) -> Fraction:
     total = 2 * n * sign * sum(lcm // i * _block(n, (n - 3 * i) // 2, p + i * q, p - i * q) for i in active)
     if _heaviside(p, _h0):
         total -= lcm * sign * 2**n * p ** (n - 1)
-        total += lcm * _half_binom(n) * p ** (n - 2) * (3 * p + n * q)
+        total += lcm * half_binom(n) * p ** (n - 2) * (3 * p + n * q)
     return Fraction(total, 2 * lcm * math.factorial(n - 1) * q ** (n - 1))
 
 
@@ -138,21 +133,8 @@ def c_closed(n: int, x, _h0: int = 1) -> Fraction:
                 total += cf * math.comb(n, m) * u**m * v ** (n - m)
     total *= (n + 2) * sign
     if _heaviside(p, _h0):
-        total += 2 * sign * _half_binom(n) * p**n
+        total += 2 * sign * half_binom(n) * p**n
     return Fraction(total, (n + 2) * math.factorial(n) * q**n)
-
-
-_CLOSED = {
-    MeasureKind.A_CYCLIC: a_closed,
-    MeasureKind.B_CYCLIC_GE: b_closed,
-    MeasureKind.C_LINEAR_GE: c_closed,
-}
-
-
-def closed_measure(kind: MeasureKind, n: int, x, _h0: int = 1) -> Fraction:
-    if kind is MeasureKind.F_LINEAR:
-        return f_closed(n, x, _h0)
-    return _CLOSED[kind](n, x, _h0)
 
 
 # ---------------------------------------------------------------------------
@@ -184,16 +166,16 @@ def f_closed(n: int, x, _h0: int = 1) -> Fraction:
     return invert_transform(f_tilde_recursive(n), n, x, _h0)
 
 
-def a_from_transform(n: int, x, _h0: int = 1) -> Fraction:
-    return invert_transform(a_tilde(n), n, x, _h0)
+_CLOSED = {
+    MeasureKind.F_LINEAR: f_closed,
+    MeasureKind.A_CYCLIC: a_closed,
+    MeasureKind.B_CYCLIC_GE: b_closed,
+    MeasureKind.C_LINEAR_GE: c_closed,
+}
 
 
-def b_from_transform(n: int, x, _h0: int = 1) -> Fraction:
-    return invert_transform(b_tilde(n), n, x, _h0)
-
-
-def c_from_transform(n: int, x, _h0: int = 1) -> Fraction:
-    return invert_transform(c_tilde(n), n + 1, x, _h0)
+def closed_measure(kind: MeasureKind, n: int, x, _h0: int = 1) -> Fraction:
+    return _CLOSED[kind](n, x, _h0)
 
 
 # ---------------------------------------------------------------------------
@@ -292,14 +274,16 @@ def transform_crosscheck_report(n_max: int = 7) -> Report:
     the series coefficients.  It pins the implicit-H(x) gating in particular.
     """
     rep = Report("measure_transform_crosscheck")
-    pairs = {
-        MeasureKind.A_CYCLIC: a_from_transform,
-        MeasureKind.B_CYCLIC_GE: b_from_transform,
-        MeasureKind.C_LINEAR_GE: c_from_transform,
-    }
-    for kind, via_transform in pairs.items():
+    # each transform, and how many variables its measure has beyond n
+    table = (
+        (MeasureKind.A_CYCLIC, a_tilde, 0),
+        (MeasureKind.B_CYCLIC_GE, b_tilde, 0),
+        (MeasureKind.C_LINEAR_GE, c_tilde, 1),
+    )
+    for kind, transform, extra in table:
         for n in range(2, n_max + 1):
+            poly = transform(n)
             grid = interior_grid(kind, n, 8) + [Fraction(b) for b in piece_boundaries(kind, n)]
-            ok = all(closed_measure(kind, n, x) == via_transform(n, x) for x in grid)
+            ok = all(closed_measure(kind, n, x) == invert_transform(poly, n + extra, x) for x in grid)
             rep.add("closed_equals_transform_inversion", ok, {"kind": kind.value, "n": n})
     return rep

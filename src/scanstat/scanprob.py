@@ -7,13 +7,23 @@ smallest window containing k of them, and the CDFs evaluated here are
   pc_3:    P(W_c(3)   <= w)   saturates to 1 at w >= 2/N
   p_lin_3: P(W(3)     <= w)   saturates to 1 at w >= 2/(N-2)
 
-Below the saturation threshold each survival probability is a finite signed
-binomial sum over the active floor(1/w)-indexed pieces; `binom_ext` silently
-kills out-of-range terms.  With w = a/b each base 1 - k w is (b - k a)/b and a
-term's exponents sum to N-1 (circular) or N (linear), so _finish sums integers
-over b^(N-1) (pc-nm1), 2 b^(N-1) (pc-3, whose N/2 term halves) or (N+2) b^N
-(p-3).  The one exponent -1 that survives the binomial gate cancels: against
-1 - N(1-w) in pc-nm1, and at C(N, N) in pc-3, where (Nw-3)/(1-Nw/3) = -3.
+All three take one path, _cdf, indexed by the piece variable g = 1 - w
+(pc-nm1) or g = w (pc-3, p-3).  Below the saturation threshold the survival
+probability is a signed binomial sum of floor(1/g) terms (one more for p-3);
+the pieces meet at g = 1/j, and the measure pathway evaluates at x = 2/g - v.
+
+Binomials and powers are plain math.comb and **.  Below the threshold every
+binomial C(N, m) a loop reaches has an integer m >= 1: m = p <= floor(1/g) <
+N/2 in pc-nm1, and m = 3p-N+d >= (N+1)/2 in the three-point loops, which start
+at p = ceil((N+1)/2); math.comb gives 0 for m > N and that term is skipped.
+No zero base meets a negative exponent, and Fraction(0)**0 == 1.  Inputs
+outside this domain raise rather than silently giving 0.
+
+With w = a/b each base 1 - k w is (b - k a)/b and a term's exponents sum to
+N-1 (circular) or N (linear), so _finish sums integers over b^(N-1)
+(pc-nm1), 2 b^(N-1) (pc-3, whose N/2 term halves) or (N+2) b^N (p-3).  The
+one exponent -1 that survives the binomial gate cancels: against 1 - N(1-w)
+in pc-nm1, and at C(N, N) in pc-3, where (Nw-3)/(1-Nw/3) = -3.
 Every value is an exact rational; float(p) is correctly rounded.
 
 A second, independent pathway to the same numbers normalizes the closed-form
@@ -29,7 +39,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .exactnum import DomainError, binom_ext, format_rational, pow_int
+from .exactnum import DomainError, format_rational, half_binom
 from .measures import a_closed, b_closed, c_closed
 
 
@@ -99,14 +109,6 @@ def _finish(terms: list, sign: int, den: int) -> ProbValue:
     return ProbValue(1 - survival, survival, Regime.BELOW_THRESHOLD, sum(1 for t in terms if t != 0))
 
 
-def _saturated() -> ProbValue:
-    return ProbValue(Fraction(1), Fraction(0), Regime.SATURATED, 0)
-
-
-def _zero() -> ProbValue:
-    return ProbValue(Fraction(0), Fraction(1), Regime.BELOW_THRESHOLD, 0)
-
-
 def _pc_nm1_terms(N: int, w: Fraction, p_max: int) -> list:
     u = 1 - w
     lead = 1 - N * u
@@ -115,19 +117,8 @@ def _pc_nm1_terms(N: int, w: Fraction, p_max: int) -> list:
     # the p = 0 term is lead * lead**-1 == 1 identically (its two factors cancel)
     terms = [Fraction(1)]
     for p in range(1, p_max + 1):
-        c = binom_ext(N, p)
-        if not c:
-            continue
-        terms.append(c * lead * pow_int(1 - p * u, N - p - 1) * pow_int(1 - (N - p) * u, p - 1))
+        terms.append(math.comb(N, p) * lead * (1 - p * u) ** (N - p - 1) * (1 - (N - p) * u) ** (p - 1))
     return terms
-
-
-def pc_nm1(N: int, w) -> ProbValue:
-    """P(W_c(N-1) <= w): the circular near-complete window CDF."""
-    w = _validate(N, w)
-    if w >= threshold(ScanKind.PC_NM1, N):
-        return _saturated()
-    return _finish(_pc_nm1_terms(N, w, math.floor(1 / (1 - w))), 1, _common_den(ScanKind.PC_NM1, N, w))
 
 
 def _last_p(N: int, p_max: int) -> int:
@@ -137,100 +128,109 @@ def _last_p(N: int, p_max: int) -> int:
 
 
 def _pc_3_terms(N: int, w: Fraction, p_max: int) -> list:
-    terms = [pow_int(2 - N * w, N - 1)]
-    half = binom_ext(N, Fraction(N, 2))
+    terms = [(2 - N * w) ** (N - 1)]
+    half = half_binom(N)
     if half:
-        terms.append(half * (N * w - 3) * pow_int(1 - N * w / 2, N - 2) / 2)
+        terms.append(half * (N * w - 3) * (1 - N * w / 2) ** (N - 2) / 2)
     for p in range(math.ceil(Fraction(N + 1, 2)), _last_p(N, p_max) + 1):
-        c = binom_ext(N, 3 * p - N)
+        c = math.comb(N, 3 * p - N)
         if not c:
             continue
         # exponent 2N-3p-1 >= -1 whenever the binomial survives; at -1 the
         # base 1-(N-p)w stays positive for w < 2/N since N-p <= N/3 there
-        terms.append(
-            (N * w - 3) * c * pow_int(1 - p * w, 3 * p - N - 1) * pow_int(1 - (N - p) * w, 2 * N - 3 * p - 1)
-        )
+        terms.append((N * w - 3) * c * (1 - p * w) ** (3 * p - N - 1) * (1 - (N - p) * w) ** (2 * N - 3 * p - 1))
     return terms
-
-
-def pc_3(N: int, w) -> ProbValue:
-    """P(W_c(3) <= w): the circular three-point window CDF."""
-    w = _validate(N, w)
-    if w >= threshold(ScanKind.PC_3, N):
-        return _saturated()
-    if w == 0:
-        return _zero()
-    return _finish(_pc_3_terms(N, w, math.floor(1 / w)), (-1) ** (N - 1), _common_den(ScanKind.PC_3, N, w))
 
 
 def _p_lin_3_terms(N: int, w: Fraction, p_max: int) -> list:
     terms = []
-    half = binom_ext(N, Fraction(N, 2))
+    half = half_binom(N)
     if half:
-        terms.append(-2 * half * pow_int(1 - (Fraction(N, 2) - 1) * w, N) / (N + 2))
+        terms.append(-2 * half * (1 - (N // 2 - 1) * w) ** N / (N + 2))
     for p in range(math.ceil(Fraction(N + 1, 2)), _last_p(N, p_max) + 1):
         for d, cf in ((-1, 1), (0, -2), (1, 1)):
             m = 3 * p - N + d
-            c = binom_ext(N, m)
+            c = math.comb(N, m)
             if not c:
                 continue
-            terms.append(cf * c * pow_int(1 - (p - 1) * w, m) * pow_int(1 - (N - p - 1) * w, 2 * N - 3 * p - d))
+            terms.append(cf * c * (1 - (p - 1) * w) ** m * (1 - (N - p - 1) * w) ** (2 * N - 3 * p - d))
     return terms
+
+
+_TERMS = {ScanKind.PC_NM1: _pc_nm1_terms, ScanKind.PC_3: _pc_3_terms, ScanKind.P_3: _p_lin_3_terms}
+
+
+def _piece(kind: ScanKind, t: Fraction) -> Fraction:
+    """The piece variable g = 1 - w for pc-nm1 and g = w otherwise; being its own inverse, it also maps g to w."""
+    return 1 - t if kind is ScanKind.PC_NM1 else t
+
+
+def _term_count(kind: ScanKind, g: Fraction) -> int:
+    """floor(1/g) terms, one more for p-3."""
+    return math.floor(1 / g) + (kind is ScanKind.P_3)
+
+
+def _sum(kind: ScanKind, N: int, w: Fraction, count: int) -> ProbValue:
+    sign = 1 if kind is ScanKind.PC_NM1 else (-1) ** (N - 1)
+    return _finish(_TERMS[kind](N, w, count), sign, _common_den(kind, N, w))
+
+
+def _cdf(kind: ScanKind, N: int, w) -> ProbValue:
+    """The one evaluation path: validate, saturate, answer w = 0 for the three-point kinds, else sum."""
+    w = _validate(N, w)
+    if w >= threshold(kind, N):
+        return ProbValue(Fraction(1), Fraction(0), Regime.SATURATED, 0)
+    g = _piece(kind, w)
+    if g == 0:  # w = 0, where no window holds three points; pc-nm1 has g = 1 there and sums
+        return ProbValue(Fraction(0), Fraction(1), Regime.BELOW_THRESHOLD, 0)
+    return _sum(kind, N, w, _term_count(kind, g))
+
+
+def pc_nm1(N: int, w) -> ProbValue:
+    """P(W_c(N-1) <= w): the circular near-complete window CDF."""
+    return _cdf(ScanKind.PC_NM1, N, w)
+
+
+def pc_3(N: int, w) -> ProbValue:
+    """P(W_c(3) <= w): the circular three-point window CDF."""
+    return _cdf(ScanKind.PC_3, N, w)
 
 
 def p_lin_3(N: int, w) -> ProbValue:
     """P(W(3) <= w): the linear three-point window CDF."""
-    w = _validate(N, w)
-    if N > 4 and w >= threshold(ScanKind.P_3, N):
-        return _saturated()
-    if N == 4 and w == 1:
-        return _saturated()  # threshold 2/(N-2) = 1 reached at the domain edge
-    if w == 0:
-        return _zero()
-    return _finish(_p_lin_3_terms(N, w, math.floor(1 / w) + 1), (-1) ** (N - 1), _common_den(ScanKind.P_3, N, w))
+    return _cdf(ScanKind.P_3, N, w)
 
 
-_EVALUATORS = {
-    ScanKind.PC_NM1: pc_nm1,
-    ScanKind.PC_3: pc_3,
-    ScanKind.P_3: p_lin_3,
-}
+# the public evaluator of each kind; tests/test_kernel_reference.py calls each one through it
+_EVALUATORS = {ScanKind.PC_NM1: pc_nm1, ScanKind.PC_3: pc_3, ScanKind.P_3: p_lin_3}
 
 
 def evaluate(query: ScanQuery) -> ProbValue:
-    return _EVALUATORS[query.kind](query.N, query.w)
+    return _cdf(query.kind, query.N, query.w)
 
 
 # ---------------------------------------------------------------------------
 # Second pathway: normalized measures
 # ---------------------------------------------------------------------------
 
+_CLOSED = {ScanKind.PC_NM1: a_closed, ScanKind.PC_3: b_closed, ScanKind.P_3: c_closed}
+
 
 def measure_to_probability(kind: ScanKind, N: int, w) -> ProbValue:
     """The same CDFs through the measure normalization pathway.
 
-    The survival probability is the constrained spacing measure divided by
-    the free simplex density at the mapped point:
-
-      PC_NM1: a_N(x) / [(x+N)^(N-1)/(N-1)!]   at x = 2/(1-w) - N
-      PC_3:   b_N(x) / [(x+N)^(N-1)/(N-1)!]   at x = 2/w - N
-      P_3:    c_N(x) / [(x+N+1)^N/N!]         at x = 2/w - N - 1
-
-    (N spacings for the circular statistics, N+1 for the linear one.)
+    The survival probability is the constrained spacing measure a_N, b_N or
+    c_N (pc-nm1, pc-3, p-3) divided by the free simplex density
+    (x+v)^(v-1)/(v-1)! of v spacings (N on the circle, N+1 on the line), at
+    x = 2/g - v for the piece variable g (1 - w for pc-nm1, w otherwise).
     Requires w strictly inside the non-saturated regime.
     """
     w = _validate(N, w)
     if not 0 < w < threshold(kind, N):
         raise DomainError(f"w={w} is not strictly inside the valid regime for {kind.value}")
-    if kind is ScanKind.PC_NM1:
-        x = 2 / (1 - w) - N
-        survival = a_closed(N, x) * math.factorial(N - 1) / (x + N) ** (N - 1)
-    elif kind is ScanKind.PC_3:
-        x = 2 / w - N
-        survival = b_closed(N, x) * math.factorial(N - 1) / (x + N) ** (N - 1)
-    else:
-        x = 2 / w - N - 1
-        survival = c_closed(N, x) * math.factorial(N) / (x + N + 1) ** N
+    v = N + (kind is ScanKind.P_3)
+    x = 2 / _piece(kind, w) - v
+    survival = _CLOSED[kind](N, x) * math.factorial(v - 1) / (x + v) ** (v - 1)
     return ProbValue(1 - survival, survival, Regime.BELOW_THRESHOLD, 1)
 
 
@@ -257,7 +257,7 @@ def arc_containment_cdf(N: int, w) -> Fraction:
         gap = 1 - j * (1 - w)
         if gap <= 0:
             break
-        total += (-1) ** (j + 1) * binom_ext(N, j) * gap ** (N - 1)
+        total += (-1) ** (j + 1) * math.comb(N, j) * gap ** (N - 1)
     return total
 
 
@@ -302,7 +302,7 @@ def tabulate(kind: ScanKind, N_list, w_grid) -> list[dict]:
     rows = []
     for N in N_list:
         for w in w_grid:
-            value = _EVALUATORS[kind](N, w)
+            value = _cdf(kind, N, w)
             rows.append(
                 {
                     "kind": kind.value,
@@ -318,31 +318,20 @@ def tabulate(kind: ScanKind, N_list, w_grid) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# Piece-boundary continuity at floor(1/w) jumps
+# Piece-boundary continuity at floor(1/g) jumps
 # ---------------------------------------------------------------------------
-
-_TERMS = {
-    ScanKind.PC_NM1: _pc_nm1_terms,
-    ScanKind.PC_3: _pc_3_terms,
-    ScanKind.P_3: _p_lin_3_terms,
-}
-
 
 def floor_boundary_gap(kind: ScanKind, N: int, j: int) -> Fraction:
     """Exact difference between the two piece polynomials at their junction.
 
-    The active piece index floor(1/w) (or floor(1/(1-w))) jumps at w = 1/j
-    (w = 1 - 1/j for the near-complete window); continuity means evaluating
-    with either term count at the junction gives the same probability.
+    The active piece index floor(1/g) jumps at the piece variable g = 1/j
+    (w = 1/j, or w = 1 - 1/j for the near-complete window); continuity means
+    evaluating with either term count at the junction gives the same
+    probability.
     """
-    if kind is ScanKind.PC_NM1:
-        w = 1 - Fraction(1, j)
-    else:
-        w = Fraction(1, j)
+    g = Fraction(1, j)
+    w = _piece(kind, g)
     if not 0 < w < threshold(kind, N):
         raise DomainError(f"junction w={w} outside the valid regime")
-    hi = j + 1 if kind is ScanKind.P_3 else j
-    sign = 1 if kind is ScanKind.PC_NM1 else (-1) ** (N - 1)
-    with_term = _finish(_TERMS[kind](N, w, hi), sign, _common_den(kind, N, w))
-    without = _finish(_TERMS[kind](N, w, hi - 1), sign, _common_den(kind, N, w))
-    return with_term.p - without.p
+    hi = _term_count(kind, g)
+    return _sum(kind, N, w, hi).p - _sum(kind, N, w, hi - 1).p

@@ -109,7 +109,7 @@ def test_criterion_5_monte_carlo_agreement():
         flavor = "linear" if kind is ScanKind.P_3 else "circular"
         cfg = mc.SimConfig(N=N, k=k, samples=samples, seed=1000 + N + 17 * k)
         for est, w in zip(mc.empirical_cdf(cfg, flavor, [float(w) for w in w_list]), sorted(w_list)):
-            exact = float(sp._EVALUATORS[kind](N, w).p)
+            exact = float(sp._cdf(kind, N, w).p)
             lo, hi = mc.wilson_interval(round(est.p_hat * samples), samples, z=4.0)
             assert lo <= exact <= hi, (kind, N, w, est.p_hat, exact)
             checked += 1
@@ -139,7 +139,7 @@ def _cdf_matrix():
     for kind in ScanKind:
         for N in N_SWEEP:
             for w in GRID_51:
-                values[(kind, N, w)] = sp._EVALUATORS[kind](N, w).p
+                values[(kind, N, w)] = sp._cdf(kind, N, w).p
     return values
 
 
@@ -188,7 +188,7 @@ def test_criterion_8_pathway_equivalence():
                 w = upper * F(j, 21)
                 if not 0 < w < thr:
                     continue
-                direct = sp._EVALUATORS[kind](N, w).p
+                direct = sp._cdf(kind, N, w).p
                 via = sp.measure_to_probability(kind, N, w).p
                 if direct != via:
                     mismatch = (N, w, direct, via)

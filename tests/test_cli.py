@@ -133,6 +133,32 @@ class TestErrors:
         assert cli._report_exit(failing, "text") == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify-series", "--order", "4"),
+        ("cross-check", "--n-max", "4", "--grid", "2"),
+        ("verify-measures", "--n-max", "2", "--samples", "100000", "--seed", "1"),
+    ],
+)
+def test_text_report_lines_then_csv(capsys, argv):
+    """Text mode prints the suite line and one line per check, then any rows as CSV, header first."""
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    checks, rows = payload["report"]["checks"], payload.get("rows", [])
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == f"[PASS] suite {payload['command']}"
+    report, table = lines[1 : 1 + len(checks)], lines[1 + len(checks) :]
+    assert [line.split()[1] for line in report] == [c["name"] for c in checks]
+    assert all(line.startswith("  [pass] ") for line in report)
+    assert len(table) == (1 + len(rows) if rows else 0)
+    if rows:
+        assert sorted(table[0].split(",")) == sorted(rows[0])  # JSON sorts its keys
+
+
 def test_exact_commands_load_no_numpy():
     # only the sampling commands import montecarlo, and with it numpy; the
     # benchmark tracer looks measures and genseries up in sys.modules

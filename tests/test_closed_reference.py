@@ -15,7 +15,14 @@ import pytest
 
 import scanstat.measures as ms
 import scanstat.scanprob as sp
-from scanstat.exactnum import binom_ext
+
+
+def binom_ext(n, m):
+    """C(n, m) as a Fraction, extended by 0 for m < 0, m > n or a non-integer m."""
+    m = Fraction(m)
+    if m.denominator != 1 or not 0 <= m <= n:
+        return Fraction(0)
+    return Fraction(math.comb(n, int(m)))
 
 
 def _heaviside(arg, h0):

@@ -1,71 +1,24 @@
 import math
 from fractions import Fraction
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from scanstat.exactnum import DomainError, binom_ext, format_rational, pow_int
+from scanstat.exactnum import format_rational, half_binom
 
 
-def test_binom_standard():
-    assert binom_ext(4, 2) == 6
+def test_half_binom_odd_is_zero():
+    assert all(half_binom(n) == 0 for n in range(1, 62, 2))
 
 
-def test_binom_non_integer_is_zero():
-    assert binom_ext(3, Fraction(3, 2)) == 0
-    assert binom_ext(7, Fraction(1, 3)) == 0
+def test_half_binom_matches_factorials():
+    for n in range(0, 62, 2):
+        assert half_binom(n) == math.factorial(n) // math.factorial(n // 2) ** 2
 
 
-def test_binom_out_of_range_is_zero():
-    assert binom_ext(3, 5) == 0
-    assert binom_ext(5, -1) == 0
-
-
-def test_binom_negative_n_rejected():
-    with pytest.raises(DomainError):
-        binom_ext(-1, 0)
-
-
-def test_binom_matches_factorials():
-    for n in range(0, 31):
-        for m in range(0, n + 1):
-            expected = Fraction(math.factorial(n), math.factorial(m) * math.factorial(n - m))
-            assert binom_ext(n, m) == expected
-
-
-@given(st.integers(min_value=1, max_value=60), st.data())
-def test_pascal_identity(n, data):
-    m = data.draw(st.integers(min_value=1, max_value=n - 1)) if n > 1 else 1
-    assert binom_ext(n, m) == binom_ext(n - 1, m) + binom_ext(n - 1, m - 1)
-
-
-def test_pow_examples():
-    assert pow_int(Fraction(3, 2), 2) == Fraction(9, 4)
-    assert pow_int(Fraction(5, 7), 0) == 1
-    assert pow_int(Fraction(0), 0) == 1
-    assert pow_int(Fraction(1, 2), -1) == 2
-
-
-def test_pow_zero_to_negative_rejected():
-    with pytest.raises(DomainError):
-        pow_int(Fraction(0), -1)
-    with pytest.raises(DomainError):
-        pow_int(0.0, -2)
-
-
-def test_pow_float_operands():
-    assert pow_int(0.5, -1) == 2.0
-    assert pow_int(0.0, 0) == 1.0
-
-
-@given(
-    st.fractions(min_value=-4, max_value=4).filter(lambda f: f != 0),
-    st.integers(min_value=-5, max_value=5),
-    st.integers(min_value=-5, max_value=5),
-)
-def test_pow_addition_law(b, e1, e2):
-    assert pow_int(b, e1) * pow_int(b, e2) == pow_int(b, e1 + e2)
+@given(st.integers(min_value=1, max_value=60))
+def test_half_binom_pascal_identity(k):
+    assert half_binom(2 * k) == math.comb(2 * k - 1, k) + math.comb(2 * k - 1, k - 1)
 
 
 def test_format_rational():

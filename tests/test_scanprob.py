@@ -1,4 +1,5 @@
 import math
+import types
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 import scanstat.cli as cli
 import scanstat.scanprob as sp
-from scanstat.exactnum import DomainError, binom_ext
+from scanstat.exactnum import DomainError
 from scanstat.scanprob import Regime, ScanKind, ScanQuery
 
 F = Fraction
@@ -90,18 +91,35 @@ class TestLinearThreePoint:
 
 def test_three_point_loops_stop_at_binomial_support(monkeypatch):
     # floor(1/w) = 10**9 lies far past the last nonzero binomial (p about
-    # 2N/3); a loop that walks up to it would call binom_ext ~10**9 times
+    # 2N/3); a loop that walks up to it would call math.comb ~10**9 times
     calls = []
 
     def counted(n, m):
         calls.append(m)
         assert len(calls) < 100, "loop ran past the binomial support"
-        return binom_ext(n, m)
+        return math.comb(n, m)
 
-    monkeypatch.setattr(sp, "binom_ext", counted)
+    monkeypatch.setattr(sp, "math", types.SimpleNamespace(**{**vars(math), "comb": counted}))
     w = F(1, 10**9)
     assert sp.pc_3(10, w).p == sp.measure_to_probability(ScanKind.PC_3, 10, w).p
     assert sp.p_lin_3(10, w).p == sp.measure_to_probability(ScanKind.P_3, 10, w).p
+    assert calls  # the counter saw the kernel's binomials
+
+
+def test_p_lin_3_saturates_at_the_domain_edge_for_n4():
+    # the threshold 2/(N-2) is 1 at N = 4: w = 1 saturates, a width just below it sums
+    assert sp.p_lin_3(4, 1).regime is Regime.SATURATED
+    below = sp.p_lin_3(4, 1 - F(1, 10**12))
+    assert below.regime is Regime.BELOW_THRESHOLD and below.active_terms > 0 and below.p < 1
+
+
+@pytest.mark.parametrize("kind, active_terms", [(ScanKind.PC_NM1, 1), (ScanKind.PC_3, 0), (ScanKind.P_3, 0)])
+def test_zero_width(kind, active_terms):
+    # pc-nm1 sums at w = 0 (its piece variable 1 - w is 1), where only the constant term survives;
+    # the three-point kinds answer w = 0 without summing
+    for N in (3, 4, 9, 40):
+        v = sp._cdf(kind, N, 0)
+        assert (v.p, v.survival, v.regime, v.active_terms) == (0, 1, Regime.BELOW_THRESHOLD, active_terms)
 
 
 class TestThresholdSaturationContinuity:
@@ -135,7 +153,7 @@ class TestMeasurePathway:
                     w = upper * F(j, 11)
                     if not 0 < w < thr:
                         continue
-                    assert sp._EVALUATORS[kind](N, w).p == sp.measure_to_probability(kind, N, w).p
+                    assert sp._cdf(kind, N, w).p == sp.measure_to_probability(kind, N, w).p
 
     def test_regime_enforced(self):
         with pytest.raises(DomainError):
@@ -169,20 +187,20 @@ class TestProperties:
         for kind in self.KINDS:
             for N in (3, 7, 15, 40):
                 for w in self.GRID:
-                    p = sp._EVALUATORS[kind](N, w).p
+                    p = sp._cdf(kind, N, w).p
                     assert 0 <= p <= 1
 
     def test_monotone_in_w(self):
         for kind in self.KINDS:
             for N in (3, 6, 13, 40):
-                ps = [sp._EVALUATORS[kind](N, w).p for w in self.GRID]
+                ps = [sp._cdf(kind, N, w).p for w in self.GRID]
                 assert all(a <= b for a, b in zip(ps, ps[1:]))
 
     def test_monotone_in_n_fixed_k(self):
         # W(3)/W_c(3) can only shrink when points are added
         for kind in (ScanKind.PC_3, ScanKind.P_3):
             for w in self.GRID:
-                ps = [sp._EVALUATORS[kind](N, w).p for N in range(3, 16)]
+                ps = [sp._cdf(kind, N, w).p for N in range(3, 16)]
                 assert all(a <= b for a, b in zip(ps, ps[1:]))
 
     def test_near_complete_window_decreases_in_n(self):
@@ -239,7 +257,7 @@ def _cells(draw, widths=1):
 @given(_cells())
 def test_property_probability_and_survival(cell):
     kind, N, w = cell
-    value = sp._EVALUATORS[kind](N, w)
+    value = sp._cdf(kind, N, w)
     assert 0 <= value.p <= 1
     assert value.p + value.survival == 1
 
@@ -249,7 +267,7 @@ def test_property_probability_and_survival(cell):
 def test_property_monotone_in_w(cell):
     kind, N, w1, w2 = cell
     lo, hi = sorted((w1, w2))
-    assert sp._EVALUATORS[kind](N, lo).p <= sp._EVALUATORS[kind](N, hi).p
+    assert sp._cdf(kind, N, lo).p <= sp._cdf(kind, N, hi).p
 
 
 @KERNEL_PROPERTY
