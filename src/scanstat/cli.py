@@ -4,7 +4,7 @@ Commands: eval, table, simulate, verify-series, verify-measures, cross-check.
 Widths are accepted only as exact rational strings ("1/6", "0.25"), never as
 binary floats, so the exact path never inherits parser rounding.  Only
 simulate and verify-measures import the samplers, and with them numpy.  Exit
-codes: 0 success, 2 usage or domain error, 3 verification failure.
+codes: 0 success, 2 usage, domain or out-of-memory error, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -171,8 +171,8 @@ def _cmd_cross_check(args) -> int:
         for N in range(3, args.n_max + 1):
             thr = scanprob.threshold(kind, N)
             upper = min(thr, Fraction(1))
-            for j in range(1, 21):
-                w = upper * Fraction(j, 21)
+            for j in range(1, args.grid + 1):
+                w = upper * Fraction(j, args.grid + 1)
                 if not 0 < w < thr:
                     continue
                 direct = scanprob._cdf(kind, N, w).p
@@ -269,6 +269,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory for this input", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -75,9 +75,6 @@ class ExpPoly:
     def terms(self) -> dict:
         return dict(self._terms)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 

@@ -36,13 +36,14 @@ via Lagrange inversion of the shifted Catalan function in u = t^2, to
 
     [u^((n-p)/2)] (u+1)^(n-q-1) ((a-b)u + (a+b))^q (1-u),
 
-implemented by lagrange_extract and checked against direct series arithmetic.
+implemented by lagrange_extract as a product of three TruncSeries in u and
+checked against direct series arithmetic in t.
 
-The Catalan parameters, t*C, Q, R, F, A and the (B, C2) pair are built once
-per order and kept in a module-level memo (as the f~_n recursion keeps its
-levels), so every check of a suite reads the same values.  That sharing is
-safe because a value never changes after it is built: TruncSeries holds its
-coefficients in a tuple, CatalanParams is frozen, and ExpPoly is immutable.
+The Catalan parameters, t*C, Q, R, F, A, the (B, C2) pair and the f~_n levels
+are built once per order (per n) into one memo, _ORDER_MEMO, so every check of
+a suite reads the same values.  That sharing is safe because a value never
+changes after it is built: TruncSeries holds its coefficients in a tuple,
+CatalanParams is frozen, and ExpPoly is immutable.
 """
 
 from __future__ import annotations
@@ -84,10 +85,6 @@ def _per_order(builder):
 
 def _zero_like(c):
     return c * 0
-
-
-def _one_like(c):
-    return ExpPoly.one() if isinstance(c, ExpPoly) else Fraction(1)
 
 
 def _invert_coef(c):
@@ -166,9 +163,7 @@ class TruncSeries:
         zero = _zero_like(self.coefs[0])
         out = [zero * 1 for _ in range(n + 1)]
         for i, ci in enumerate(self.coefs[: n + 1]):
-            if isinstance(ci, ExpPoly) and ci.is_zero():
-                continue
-            if not isinstance(ci, ExpPoly) and ci == 0:
+            if not ci:
                 continue
             for j in range(n + 1 - i):
                 cj = other.coefs[j]
@@ -186,9 +181,8 @@ class TruncSeries:
 
     def shift_down(self, k: int = 1) -> "TruncSeries":
         """Divide by t^k, requiring the low-order coefficients to vanish."""
-        for c in self.coefs[:k]:
-            if (isinstance(c, ExpPoly) and not c.is_zero()) or (not isinstance(c, ExpPoly) and c != 0):
-                raise DomainError(f"series not divisible by t^{k}")
+        if any(self.coefs[:k]):
+            raise DomainError(f"series not divisible by t^{k}")
         return TruncSeries(self.coefs[k:])
 
     def divide(self, other: "TruncSeries") -> "TruncSeries":
@@ -218,7 +212,7 @@ class TruncSeries:
 
     def log(self) -> "TruncSeries":
         """ln(self) for a series with constant term 1, via ln(f)' = f'/f."""
-        if self.coefs[0] != _one_like(self.coefs[0]):
+        if self.coefs[0] != 1:
             raise DomainError("log requires constant term 1")
         if self.order == 0:
             return TruncSeries([_zero_like(self.coefs[0])])
@@ -228,9 +222,6 @@ class TruncSeries:
         if not isinstance(other, TruncSeries):
             return NotImplemented
         return self.coefs == other.coefs
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() if isinstance(c, ExpPoly) else c == 0 for c in self.coefs)
 
     def __repr__(self) -> str:
         return "TruncSeries([" + ", ".join(repr(c) for c in self.coefs) + "])"
@@ -283,30 +274,24 @@ def tc_series(order: int) -> TruncSeries:
 # ---------------------------------------------------------------------------
 
 _EXP_S = ExpPoly.exp(1)
-_F_TILDE_MEMO: dict[int, ExpPoly] = {
-    0: ExpPoly.one(),
-    1: ExpPoly.exp(1) - ExpPoly.exp(-1),
-}
 
 
+@_per_order
 def f_tilde_recursive(n: int) -> ExpPoly:
     """Transform of the n-variable bounded-chain measure, by the recursion.
 
     The recursion applies only for n >= 2; running it at n = 1 would produce
     e^s - 1, not the rectangle transform e^s - e^{-s}, so the two base cases
     are pinned explicitly.  Each level sums its n//2 distinct products once and
-    integrates once; results are memoized (exponential without the cache).
+    integrates once; levels are memoised per n (exponential without the memo).
     """
-    if n < 0:
-        raise DomainError("n must be >= 0")
-    if n in _F_TILDE_MEMO:
-        return _F_TILDE_MEMO[n]
+    if n < 2:
+        return (ExpPoly.one(), _EXP_S - ExpPoly.exp(-1))[n]
     half = ExpPoly.zero()  # products i and n+1-i are equal, and integration is linear
     for i in range(1, n // 2 + 1):
         half = half + f_tilde_recursive(i - 1) * f_tilde_recursive(n - i)
     mid = f_tilde_recursive(n // 2) if n % 2 else ExpPoly.zero()
-    _F_TILDE_MEMO[n] = (_EXP_S * (half + half + mid * mid)).integrate_0_to_s()
-    return _F_TILDE_MEMO[n]
+    return (_EXP_S * (half + half + mid * mid)).integrate_0_to_s()
 
 
 # ---------------------------------------------------------------------------
@@ -320,15 +305,14 @@ def _exp_linear_series(base: int, rate: TruncSeries, order: int) -> TruncSeries:
     `rate` must have valuation >= 2 in t, so the Taylor expansion
     e^{base*s} * sum_j (rate*s)^j / j! is exact once j reaches order/2.
     """
-    for c in rate.coefs[: min(2, rate.order + 1)]:
-        if c != 0:
-            raise DomainError("exponent rate must vanish to order t^2")
+    if any(rate.coefs[:2]):
+        raise DomainError("exponent rate must vanish to order t^2")
     acc = TruncSeries.constant(ExpPoly.zero(), order)
     power = TruncSeries.constant(Fraction(1), order)  # rate^j
     for j in range(0, order // 2 + 1):
         term = power.lift().scale(ExpPoly.term(Fraction(1, math.factorial(j)), a=j, b=base))
         acc = acc + term
-        power = (power * rate).truncate(order)
+        power = power * rate
     return acc
 
 
@@ -427,8 +411,7 @@ def c_tilde(n: int) -> ExpPoly:
 
 def _first_nonzero(series: TruncSeries) -> tuple[int, ExpPoly] | None:
     for k, c in enumerate(series.coefs):
-        nonzero = not c.is_zero() if isinstance(c, ExpPoly) else c != 0
-        if nonzero:
+        if c:
             return k, c
     return None
 
@@ -502,7 +485,7 @@ def verify_identities(order: int, drop_alpha1_sq: bool = False) -> Report:
     for i in range(0, order // 3 + 1):
         tc_pow = TruncSeries.constant(Fraction(1), order)
         for _ in range(3 * i):
-            tc_pow = (tc_pow * tc).truncate(order)
+            tc_pow = tc_pow * tc
         rate = (TruncSeries.constant(Fraction(1), order) - p.z).scale(Fraction(i))
         e_term = _exp_linear_series(-i, rate, order)  # e^{-z i s}
         rhs = rhs + tc_pow.lift() * e_term
@@ -535,36 +518,18 @@ def verify_recursion_vs_closed_form(n_max: int) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def _poly_mul(a: list, b: list, cap: int) -> list:
-    out = [Fraction(0)] * min(len(a) + len(b) - 1, cap + 1)
-    for i, ai in enumerate(a):
-        if ai == 0 or i > cap:
-            continue
-        for j, bj in enumerate(b):
-            if i + j > cap:
-                break
-            out[i + j] += ai * bj
-    return out
+def _binomial_series(a0, a1, e: int, order: int) -> TruncSeries:
+    """(a0 + a1*u)^e truncated at u^order, by the generalised binomial series.
 
-
-def _binomial_power(a0, a1, q: int, cap: int) -> list:
-    """(a0 + a1*u)^q as a coefficient list, truncated at u^cap."""
-    out = [Fraction(0)] * (cap + 1)
-    for j in range(0, min(q, cap) + 1):
-        out[j] = Fraction(math.comb(q, j)) * Fraction(a0) ** (q - j) * Fraction(a1) ** j
-    return out
-
-
-def _one_plus_u_power(e: int, cap: int) -> list:
-    """(1+u)^e truncated at u^cap, valid for negative e via the binomial series."""
-    if e >= 0:
-        return _binomial_power(1, 1, e, cap)
-    out = [Fraction(0)] * (cap + 1)
-    coeff = Fraction(1)
-    for j in range(cap + 1):
-        out[j] = coeff
-        coeff = coeff * Fraction(e - j, j + 1)
-    return out
+    The coefficient binom(e, j) follows c_(j+1) = c_j (e-j)/(j+1): it vanishes
+    past j = e when e >= 0, so a0 may then be 0, and runs on for e < 0, where
+    a0 must be nonzero.
+    """
+    coefs, c = [], Fraction(1)
+    for j in range(order + 1):
+        coefs.append(c * Fraction(a0) ** (e - j) * Fraction(a1) ** j if c else c)
+        c = c * Fraction(e - j, j + 1)
+    return TruncSeries(coefs)
 
 
 def lagrange_extract(p: int, q: int, a, b, n: int) -> Fraction:
@@ -586,10 +551,9 @@ def lagrange_extract(p: int, q: int, a, b, n: int) -> Fraction:
     m = (n - p) // 2
     a = Fraction(a)
     b = Fraction(b)
-    poly = _one_plus_u_power(n - q - 1, m)
-    poly = _poly_mul(poly, _binomial_power(a + b, a - b, q, m), m)
-    poly = _poly_mul(poly, [Fraction(1), Fraction(-1)], m)
-    return poly[m] if m < len(poly) else Fraction(0)
+    poly = (_binomial_series(1, 1, n - q - 1, m) * _binomial_series(a + b, a - b, q, m)
+            * _binomial_series(1, -1, 1, m))
+    return poly.coef(m)
 
 
 def direct_extract(p: int, q: int, a, b, n: int) -> Fraction:
@@ -604,16 +568,14 @@ def direct_extract(p: int, q: int, a, b, n: int) -> Fraction:
     base = TruncSeries.constant(Fraction(a), order) + params.z.scale(Fraction(b))
     acc = TruncSeries.constant(Fraction(1), order)
     for _ in range(q):
-        acc = (acc * base).truncate(order)
+        acc = acc * base
     tc = tc_series(order)
     if p >= 0:
         for _ in range(p):
-            acc = (acc * tc).truncate(order)
+            acc = acc * tc
         return acc.coef(n)
-    # p == -1: multiply by (1 - t^2 C) and read one order higher.
-    one_minus_t2c = params.alpha1
-    acc = (acc * one_minus_t2c).truncate(order)
-    return acc.coef(n + 1)
+    # p == -1: multiply by a1 = 1 - t^2 C and read one order higher.
+    return (acc * params.alpha1).coef(n + 1)
 
 
 def extraction_exponent_report(n_max: int) -> Report:

@@ -201,10 +201,6 @@ def p_lin_3(N: int, w) -> ProbValue:
     return _cdf(ScanKind.P_3, N, w)
 
 
-# the public evaluator of each kind; tests/test_kernel_reference.py calls each one through it
-_EVALUATORS = {ScanKind.PC_NM1: pc_nm1, ScanKind.PC_3: pc_3, ScanKind.P_3: p_lin_3}
-
-
 def evaluate(query: ScanQuery) -> ProbValue:
     return _cdf(query.kind, query.N, query.w)
 

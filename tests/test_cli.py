@@ -127,6 +127,18 @@ class TestErrors:
         assert out == ""
         assert err.startswith("error: --seed must be >= 0") and err.count("\n") == 1
 
+    def test_out_of_memory_exits_2(self, capsys, monkeypatch):
+        import scanstat.montecarlo as mc
+
+        def out_of_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(mc, "empirical_cdf", out_of_memory)
+        code, out, err = run(capsys, "simulate", "--kind", "linear", "--N", "1000000", "--k", "3", "--w", "1/2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
+
     def test_verification_failure_exits_3(self, capsys):
         failing = Report("demo")
         failing.add("broken", False, detail="nope")
@@ -244,6 +256,18 @@ class TestVerifyCommands:
         names = {c["name"]: c["passed"] for c in payload["report"]["checks"]}
         assert names["overlap_pc_nm1_equals_pc_3_at_N4"]
         assert names["pathway_equivalence_p-3"]
+
+    def test_cross_check_pathway_walks_the_grid(self, capsys, monkeypatch):
+        sp = cli.scanprob
+        calls = []
+        real = sp.measure_to_probability
+        monkeypatch.setattr(sp, "measure_to_probability", lambda *a: calls.append(a) or real(*a))
+        code, _, _ = run(capsys, "cross-check", "--n-max", "4", "--grid", "2", "--format", "json")
+        assert code == 0
+        # --grid 2 gives the widths upper/3 and 2*upper/3, upper = min(threshold, 1)
+        want = [(kind, N, min(sp.threshold(kind, N), 1) * Fraction(j, 3))
+                for kind in sp.ScanKind for N in (3, 4) for j in (1, 2)]
+        assert calls == want
 
     @pytest.mark.parametrize("n_max, junction_n_max", [("6", "6"), ("12", "10")])
     def test_cross_check_names_junction_cap(self, capsys, n_max, junction_n_max):

@@ -199,6 +199,10 @@ class TestLagrange:
         got = gs.lagrange_extract(-1, 1, 3, -1, 5)
         assert got == gs.direct_extract(-1, 1, 3, -1, 5) == -4
 
+    def test_negative_u_plus_one_exponent(self):
+        # n - q - 1 = -3 and m = 3: four terms of the binomial series of (1+u)^-3
+        assert gs.lagrange_extract(0, 8, 2, 1, 6) == gs.direct_extract(0, 8, 2, 1, 6) == -15552
+
     def test_exponent_claim(self):
         assert gs.extraction_exponent_report(12).passed
 
@@ -220,6 +224,12 @@ class TestSeriesOps:
         with pytest.raises(DomainError):
             gs.TruncSeries.constant(Fraction(2), 4).log()
 
+    def test_log_requires_unit_constant_in_the_exppoly_ring(self):
+        for c in (ExpPoly.const(2), E(1), ExpPoly.zero()):
+            with pytest.raises(DomainError):
+                gs.TruncSeries.constant(c, 4).log()
+        assert gs.TruncSeries.constant(ONE, 4).log() == gs.TruncSeries.constant(ExpPoly.zero(), 4)
+
     def test_log_exp_consistency(self):
         # log(1/(1-t)) has coefficients 1/k
         order = 8
@@ -238,6 +248,12 @@ class TestSeriesOps:
         with pytest.raises(DomainError):
             gs.TruncSeries.constant(Fraction(1), 3).shift_down(1)
 
+    def test_shift_down_in_the_exppoly_ring(self):
+        zero = ExpPoly.zero()
+        with pytest.raises(DomainError):
+            gs.TruncSeries([zero, E(-1), ONE]).shift_down(2)
+        assert gs.TruncSeries([zero, zero, ONE]).shift_down(2) == gs.TruncSeries([ONE])
+
     def test_coefficients_cannot_change_in_place(self):
         series = gs.riccati_solution(3)
         with pytest.raises(TypeError):
@@ -247,7 +263,7 @@ class TestSeriesOps:
 @pytest.mark.parametrize(
     "builder",
     [gs.catalan_params, gs.tc_series, gs.q_series, gs.r_series, gs.riccati_solution,
-     gs.a_tilde_series, gs.b_c_tilde_series],
+     gs.a_tilde_series, gs.b_c_tilde_series, gs.f_tilde_recursive],
 )
 def test_memoised_builder_matches_a_fresh_build(builder):
     first = builder(7)

@@ -115,9 +115,8 @@ def _assert_pairs(pairs, cell):
 @pytest.mark.parametrize("N", NS)
 def test_kernel_bit_identical_to_fraction_reference(N):
     for kind in ScanKind:
-        fn = sp._EVALUATORS[kind]
         for w in _grid(kind, N) + _random_widths(kind, N):
-            value, pairs = _spied(fn, N, w)
+            value, pairs = _spied(sp._cdf, kind, N, w)
             assert len(pairs) == 1 and value is pairs[0][0]
             _assert_pairs(pairs, (kind, N, w))
         for j in _junction_sample(kind, N):  # the value at w = 1/j with both term counts
@@ -125,7 +124,7 @@ def test_kernel_bit_identical_to_fraction_reference(N):
             _assert_pairs(pairs, (kind, N, j))
             (_, with_ref), (_, without_ref) = pairs
             assert gap == with_ref.p - without_ref.p == 0, (kind, N, j)
-            assert _fields(fn(N, _junction(kind, j))) == _fields(with_ref), (kind, N, j)
+            assert _fields(sp._cdf(kind, N, _junction(kind, j))) == _fields(with_ref), (kind, N, j)
 
 
 @pytest.mark.parametrize("N", range(3, 21))
