@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import scanstat.montecarlo as mc
 import scanstat.scanprob as sp
@@ -117,6 +119,18 @@ class TestCoverageDepth:
         with pytest.raises(DomainError):
             mc.coverage_dual(3, 7, 0.5, samples=100)
 
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_needs_a_sample(self, samples):
+        with pytest.raises(DomainError, match="samples must be >= 1"):
+            mc.coverage_dual(3, 3, 0.5, samples=samples)
+
+
+class TestDensityOracle:
+    @pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_x_is_a_domain_error(self, x):
+        with pytest.raises(DomainError, match="x must be finite"):
+            mc.density_oracle(MeasureKind.A_CYCLIC, 3, x, samples=100_000)
+
 
 class TestWilson:
     def test_bounds_ordering(self):
@@ -196,3 +210,119 @@ class TestBlockedSweep:
         mc.empirical_cdf(mc.SimConfig(8, 3, BLOCKED_SAMPLES, seed=1), "circular", [0.1])
         assert sum(rows) == 2 * BLOCKED_SAMPLES
         assert max(rows) <= mc._ROW_BLOCK
+
+
+# ---------------------------------------------------------------------------
+# Bit-identity gate: the comparison-count depth and the column-wise window
+# minima against the argsort sweep and the matrix reduction they replaced
+# ---------------------------------------------------------------------------
+
+
+def _sweep_min_coverage_depth(starts, arc_len):
+    """Reference: sweep the 2N endpoints in angular order with +1/-1 events."""
+    starts = np.atleast_2d(starts)
+    raw_ends = starts + arc_len
+    wrapped = raw_ends > 1.0
+    ends = np.where(wrapped, raw_ends - 1.0, raw_ends)
+    depth0 = wrapped.sum(axis=1)
+    positions = np.concatenate([starts, ends], axis=1)
+    deltas = np.concatenate(
+        [np.ones_like(starts, dtype=np.int64), -np.ones_like(ends, dtype=np.int64)], axis=1
+    )
+    # stable sort keeps +1 (start) events ahead of -1 at coincident positions
+    order = np.argsort(positions, axis=1, kind="stable")
+    pos_sorted = np.take_along_axis(positions, order, axis=1)
+    running = np.cumsum(np.take_along_axis(deltas, order, axis=1), axis=1)
+    seg_len = np.diff(pos_sorted, axis=1, append=pos_sorted[:, :1] + 1.0)
+    depth = depth0[:, None] + running
+    n_arcs = starts.shape[1]
+    return np.where(seg_len > 0, depth, n_arcs + 1).min(axis=1)
+
+
+def _matrix_w_batch(points, k, circular):
+    """Reference: reduce the (rows, n-k+1) difference matrix along its short axis."""
+    xs = np.sort(np.atleast_2d(points), axis=1)
+    n = xs.shape[1]
+    w = (xs[:, k - 1 :] - xs[:, : n - k + 1]).min(axis=1)
+    if circular:
+        wrap = (xs[:, : k - 1] + 1.0 - xs[:, n - k + 1 :]).min(axis=1)
+        w = np.minimum(w, wrap)
+    return w
+
+
+GATE_ROWS = 512
+GATE_ARCS = [round(0.05 + 0.1 * i, 2) for i in range(10)]  # 0.05 .. 0.95
+
+
+def _uniform_block(N):
+    return np.random.default_rng(1000 + N).random((GATE_ROWS, N))
+
+
+def _grid_block(N):
+    """Points on the j/16 grid, so starts meet ends and raw ends hit 1.0 exactly."""
+    return np.random.default_rng(2000 + N).integers(0, 16, (GATE_ROWS, N)) / 16
+
+
+class TestBitIdentityGate:
+    @pytest.mark.parametrize("N", range(2, 17))
+    def test_depth_on_uniform_blocks(self, N):
+        starts = _uniform_block(N)
+        for arc_len in GATE_ARCS:
+            assert (mc.min_coverage_depth(starts, arc_len) == _sweep_min_coverage_depth(starts, arc_len)).all()
+
+    @pytest.mark.parametrize("N", range(2, 17))
+    def test_depth_on_tie_forced_rows(self, N):
+        starts = _grid_block(N)
+        for j in range(1, 16):
+            assert (mc.min_coverage_depth(starts, j / 16) == _sweep_min_coverage_depth(starts, j / 16)).all()
+
+    def test_depth_with_an_end_exactly_on_one(self):
+        # the end 0.5 + 0.5 lands on 1.0; an unwrapped 1.0 would read depth 0 here
+        starts = np.array([[0.0, 0.5]])
+        assert mc.min_coverage_depth(starts, 0.5)[0] == _sweep_min_coverage_depth(starts, 0.5)[0] == 1
+
+    @pytest.mark.parametrize("N", range(2, 17))
+    def test_window_minima(self, N):
+        for block in (_uniform_block(N), _grid_block(N)):
+            for k in range(2, N + 1):
+                for circular in (False, True):
+                    assert (mc._w_batch_from_points(block, k, circular) == _matrix_w_batch(block, k, circular)).all()
+
+
+    @pytest.mark.parametrize("kind", ["linear", "circular"])
+    def test_cdf_counts_widths_the_draw_attains(self, kind):
+        # grid widths equal to sampled W values tell W <= w from W < w
+        cfg = mc.SimConfig(N=8, k=3, samples=BLOCKED_SAMPLES, seed=9)
+        w = _matrix_w_batch(_monolithic_draw(cfg.seed, cfg.N), cfg.k, kind == "circular")
+        grid = np.sort(w)[::1000]
+        hits = (w[:, None] <= grid[None, :]).sum(axis=0)
+        assert [e.p_hat for e in mc.empirical_cdf(cfg, kind, grid.tolist())] == list(hits / cfg.samples)
+
+
+def _brute_min_depth(starts, arc_len):
+    """Cover counts at the midpoint of each pair of consecutive event positions,
+    in exact arithmetic on the arcs [s, s + arc_len) that the floats describe."""
+    arcs = [(F(s), F(s + arc_len)) for s in starts]  # the end as the sampler rounds it
+    positions = sorted({a for a, _ in arcs} | {b % 1 for _, b in arcs})
+    gaps = list(zip(positions, positions[1:])) + [(positions[-1], positions[0] + 1)]
+    probes = [((lo + hi) / 2) % 1 for lo, hi in gaps]
+    return min(sum(a <= p < b or a <= p + 1 < b for a, b in arcs) for p in probes)
+
+
+# a coarse grid, so starts meet ends and raw ends land on 1.0 often
+_on_grid = st.integers(0, 7).map(lambda j: j / 8)
+_rows = st.one_of(
+    st.tuples(st.lists(st.floats(0, 1, exclude_max=True), min_size=1, max_size=9),
+              st.floats(0, 1, exclude_min=True, exclude_max=True)),
+    st.tuples(st.lists(_on_grid, min_size=1, max_size=9), _on_grid.filter(lambda a: a > 0)),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_rows)
+# the segment [1, 1 + 2^-53) is uncovered, but 1 + 2^-53 rounds to 1, so a
+# sweep measuring the wrap segment as first + 1.0 - last reads depth 1 here
+@example(([2.0**-53, 0.5], 0.5))
+def test_depth_matches_a_brute_force_cover_count(row):
+    starts, arc_len = row
+    assert mc.min_coverage_depth(np.array([starts]), arc_len)[0] == _brute_min_depth(starts, arc_len)
