@@ -32,11 +32,24 @@ _JUNCTION_N_MAX = 10
 _KINDS = {k.value: k for k in scanprob.ScanKind}
 
 
+def _echo(text: str, chars: int = 40) -> str:
+    """repr(text) for an error line, cut to its first `chars` characters."""
+    return repr(text) if len(text) <= chars else f"{text[:chars]!r}... ({len(text)} characters)"
+
+
+def _digit_limit(text: str) -> str:
+    """A note naming the interpreter's int-string limit when text has more digits than it allows."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit and sum(c.isdigit() for c in text) > limit:
+        return f"; the interpreter limits integers to {limit} digits"
+    return ""
+
+
 def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"not an exact rational: {text!r}") from exc
+        raise DomainError(f"not an exact rational: {_echo(text)}{_digit_limit(text)}") from exc
 
 
 def parse_list(text: str, item=parse_rational) -> list:
@@ -46,7 +59,7 @@ def parse_list(text: str, item=parse_rational) -> list:
         try:
             out.append(item(s))
         except ValueError as exc:
-            raise DomainError(f"malformed list {text!r}: bad item {s!r}") from exc
+            raise DomainError(f"malformed list {_echo(text)}: bad item {_echo(s)}{_digit_limit(s)}") from exc
     return out
 
 
@@ -141,8 +154,8 @@ def _cmd_verify_measures(args) -> int:
     from . import montecarlo
     from .report import Report
 
-    if args.n_max < 2:
-        raise DomainError(f"--n-max must be >= 2, got {args.n_max}")
+    if not 2 <= args.n_max <= montecarlo.ORACLE_N_MAX:
+        raise DomainError(f"--n-max must be >= 2 and <= {montecarlo.ORACLE_N_MAX}, got {args.n_max}")
     combined = Report("verify-measures")
     for sub in (
         measures.continuity_report(args.n_max),
@@ -165,6 +178,13 @@ def _cmd_cross_check(args) -> int:
 
     overlap_ok = all(scanprob.pc_nm1(4, w).p == scanprob.pc_3(4, w).p for w in grid)
     report.add("overlap_pc_nm1_equals_pc_3_at_N4", overlap_ok, {"points": len(grid)})
+
+    # the classical N = 3 forms hold on all of [0, 1], saturated widths included
+    widths = [Fraction(j, args.grid + 1) for j in range(1, args.grid + 1)]
+    anchor_miss = next(((kind.value, str(w)) for kind in scanprob.ScanKind for w in widths
+                        if scanprob._cdf(kind, 3, w).p != scanprob.anchor_n3(kind, w)), None)
+    report.add("classical_anchors_at_N3", anchor_miss is None, {"points": len(widths)},
+               "" if anchor_miss is None else f"discrepancy {anchor_miss}")
 
     for kind in scanprob.ScanKind:
         mismatch = None

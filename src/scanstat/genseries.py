@@ -57,8 +57,6 @@ from .exactnum import DomainError
 from .exppoly import ExpPoly
 from .report import Report
 
-DEFAULT_ORDER = 12
-
 # built series by (builder, order); see the module docstring
 _ORDER_MEMO: dict[tuple[str, int], object] = {}
 
@@ -67,7 +65,7 @@ def _per_order(builder):
     """Build once per order into _ORDER_MEMO; a negative order raises."""
 
     @functools.wraps(builder)
-    def memoised(order: int = DEFAULT_ORDER):
+    def memoised(order: int):
         if order < 0:
             raise DomainError("order must be >= 0")
         key = builder.__name__, order
@@ -340,7 +338,7 @@ def r_series(order: int) -> TruncSeries:
 
 
 @_per_order
-def riccati_solution(order: int = DEFAULT_ORDER) -> TruncSeries:
+def riccati_solution(order: int) -> TruncSeries:
     """F(t,s) = -e^{-s} (dQ/ds) / (t Q), exact to the requested order.
 
     dQ/ds has no constant t-coefficient, so dividing by t costs one order;
@@ -353,7 +351,7 @@ def riccati_solution(order: int = DEFAULT_ORDER) -> TruncSeries:
 
 
 @_per_order
-def a_tilde_series(order: int = DEFAULT_ORDER) -> TruncSeries:
+def a_tilde_series(order: int) -> TruncSeries:
     """A(t,s) = -ln(Q(t,s)/(-z)); n * [t^n] A is the cyclic <=-chain transform.
 
     The t^1 coefficient is e^s - 1 (it is the transform of the degenerate
@@ -367,7 +365,7 @@ def a_tilde_series(order: int = DEFAULT_ORDER) -> TruncSeries:
 
 
 @_per_order
-def b_c_tilde_series(order: int = DEFAULT_ORDER) -> tuple[TruncSeries, TruncSeries]:
+def b_c_tilde_series(order: int) -> tuple[TruncSeries, TruncSeries]:
     """The two inclusion-exclusion series for >=-constrained chains.
 
     Returns (B, C2) with B = -ln(R/(-z)) and C2 = (Q/R) e^{2s}; then
@@ -416,16 +414,10 @@ def _first_nonzero(series: TruncSeries) -> tuple[int, ExpPoly] | None:
     return None
 
 
-def verify_riccati(order: int, f: TruncSeries | None = None) -> Report:
-    """Check dF/ds - t e^s F^2 - t e^{-s} == 0 and F(t,0) == 1 coefficientwise.
-
-    Passing a corrupted `f` is supported so negative controls can confirm the
-    residual actually detects mistakes.
-    """
+def verify_riccati(order: int) -> Report:
+    """Check dF/ds - t e^s F^2 - t e^{-s} == 0 and F(t,0) == 1 coefficientwise."""
     rep = Report("riccati")
-    if f is None:
-        f = riccati_solution(order)
-    order = f.order
+    f = riccati_solution(order)
     df = f.map(lambda c: c.diff_s())
     f2 = (f * f).scale(ExpPoly.exp(1)).shift(1).truncate(order)
     drive = TruncSeries.t_power(1, order, ExpPoly.exp(-1))
@@ -442,7 +434,7 @@ def verify_riccati(order: int, f: TruncSeries | None = None) -> Report:
     return rep
 
 
-def verify_identities(order: int, drop_alpha1_sq: bool = False) -> Report:
+def verify_identities(order: int) -> Report:
     """The compact ratio identities and the rational expansion of Q/R.
 
     Checks, all as exact truncated-series identities:
@@ -450,8 +442,6 @@ def verify_identities(order: int, drop_alpha1_sq: bool = False) -> Report:
       2. (a2+t)/(a1+t) == tC
       3. R/Q == F + t e^{-s}
       4. (Q/R) t^3 e^{-s} == z * sum_i (tC)^(3i) e^{-z i s} - a1^2
-
-    `drop_alpha1_sq` deliberately corrupts check 4 for negative-control tests.
     """
     if order < 2:
         raise DomainError("identity suite needs order >= 2")
@@ -489,9 +479,7 @@ def verify_identities(order: int, drop_alpha1_sq: bool = False) -> Report:
         rate = (TruncSeries.constant(Fraction(1), order) - p.z).scale(Fraction(i))
         e_term = _exp_linear_series(-i, rate, order)  # e^{-z i s}
         rhs = rhs + tc_pow.lift() * e_term
-    rhs = p.z.lift() * rhs
-    if not drop_alpha1_sq:
-        rhs = rhs - (p.alpha1 * p.alpha1).lift()
+    rhs = p.z.lift() * rhs - (p.alpha1 * p.alpha1).lift()
     diff = lhs - rhs
     bad = _first_nonzero(diff)
     rep.add(
@@ -611,7 +599,7 @@ def extraction_exponent_report(n_max: int) -> Report:
     return rep
 
 
-def verify_lagrange(n_max: int = 12, samples: int = 120, seed: int = 20260809) -> Report:
+def verify_lagrange(n_max: int, samples: int = 120, seed: int = 20260809) -> Report:
     """Randomized dual-route check of lagrange_extract against direct series."""
     import random
 
@@ -637,7 +625,7 @@ def verify_lagrange(n_max: int = 12, samples: int = 120, seed: int = 20260809) -
     return rep
 
 
-def verify_series_suite(order: int = 10) -> Report:
+def verify_series_suite(order: int) -> Report:
     """Everything the transform-domain chain promises, in one report."""
     rep = Report("series")
     for sub in (

@@ -45,11 +45,6 @@ def _check_seed(seed: int) -> None:
         raise DomainError(f"seed must be >= 0, got {seed}")
 
 
-def _check_samples(samples: int) -> None:
-    if samples < 1:
-        raise DomainError("samples must be >= 1")
-
-
 @dataclass(frozen=True)
 class SimConfig:
     N: int
@@ -60,7 +55,8 @@ class SimConfig:
     def __post_init__(self):
         if not 2 <= self.k <= self.N:
             raise DomainError(f"need 2 <= k <= N, got k={self.k}, N={self.N}")
-        _check_samples(self.samples)
+        if self.samples < 1:
+            raise DomainError("samples must be >= 1")
         _check_seed(self.seed)
 
 
@@ -209,12 +205,9 @@ def coverage_dual(N: int, k: int, w: float, samples: int, seed: int = 0) -> CdfE
     This coverage probability equals the survival function of the circular
     scan statistic, 1 - P(W_c(k) <= w).
     """
-    if not 2 <= k <= N:
-        raise DomainError(f"need 2 <= k <= N, got k={k}, N={N}")
+    SimConfig(N, k, samples, seed)
     if not 0 < w < 1:
         raise DomainError(f"need 0 < w < 1, got {w}")
-    _check_samples(samples)
-    _check_seed(seed)
     arc_len = 1.0 - w
     need = N + 1 - k
 
@@ -231,6 +224,8 @@ def coverage_dual(N: int, k: int, w: float, samples: int, seed: int = 0) -> CdfE
 # ---------------------------------------------------------------------------
 
 _MIN_ORACLE_SAMPLES = 10**5
+# largest n the measure oracle samples; verify-measures checks --n-max against it
+ORACLE_N_MAX = 6
 # draws per (v, m) chunk; which draw feeds which variable depends on m, so
 # changing this changes every verify-measures number
 _ORACLE_CHUNK = 250_000
@@ -272,8 +267,8 @@ def density_oracle(kind: MeasureKind, n: int, x: float, samples: int = 10**6, se
     and so the estimate, depends on _ORACLE_CHUNK.  The column blocks that
     count the hits do not: each column sum adds the same v values in order.
     """
-    if n < 2 or n > 6:
-        raise DomainError(f"density_oracle supports 2 <= n <= 6, got {n}")
+    if not 2 <= n <= ORACLE_N_MAX:
+        raise DomainError(f"density_oracle supports 2 <= n <= {ORACLE_N_MAX}, got {n}")
     if samples < _MIN_ORACLE_SAMPLES:
         raise DomainError(f"at least {_MIN_ORACLE_SAMPLES} samples required, got {samples}")
     _check_seed(seed)
@@ -283,6 +278,10 @@ def density_oracle(kind: MeasureKind, n: int, x: float, samples: int = 10**6, se
     total_sum = x + v
     if total_sum <= 0:
         return DensityEstimate(value=0.0, std_error=1.0 / samples, samples=samples)
+    try:
+        volume = float(total_sum) ** (v - 1) / math.factorial(v - 1)
+    except OverflowError:
+        raise DomainError(f"x={x} is too large: the slice volume overflows a float") from None
     pairs = _constraint_pairs(kind, n)
     compare = np.less_equal if kind in (MeasureKind.F_LINEAR, MeasureKind.A_CYCLIC) else np.greater_equal
 
@@ -300,7 +299,6 @@ def density_oracle(kind: MeasureKind, n: int, x: float, samples: int = 10**6, se
         return hits
 
     hits = _chunked_count(np.random.default_rng(seed), samples, count, _ORACLE_CHUNK)
-    volume = float(total_sum) ** (v - 1) / math.factorial(v - 1)
     p_hat = hits / samples
     p_safe = min(max(p_hat, 1.0 / samples), 1.0 - 1.0 / samples)
     return DensityEstimate(

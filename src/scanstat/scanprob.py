@@ -7,7 +7,7 @@ smallest window containing k of them, and the CDFs evaluated here are
   pc_3:    P(W_c(3)   <= w)   saturates to 1 at w >= 2/N
   p_lin_3: P(W(3)     <= w)   saturates to 1 at w >= 2/(N-2)
 
-All three take one path, _cdf, indexed by the piece variable g = 1 - w
+All three take one path, evaluate, indexed by the piece variable g = 1 - w
 (pc-nm1) or g = w (pc-3, p-3).  Below the saturation threshold the survival
 probability is a signed binomial sum of floor(1/g) terms (one more for p-3);
 the pieces meet at g = 1/j, and the measure pathway evaluates at x = 2/g - v.
@@ -26,10 +26,13 @@ one exponent -1 that survives the binomial gate cancels: against 1 - N(1-w)
 in pc-nm1, and at C(N, N) in pc-3, where (Nw-3)/(1-Nw/3) = -3.
 Every value is an exact rational; float(p) is correctly rounded.
 
-A second, independent pathway to the same numbers normalizes the closed-form
-measures by the free simplex volume (measure_to_probability); classical
-small-case CDFs (sample range, arc containment, minimum spacings) serve as
-external baselines.
+Constructing a ScanQuery is the one check on (N, w); every entry point builds
+one, and evaluate trusts the query it is given.  A second, independent pathway
+to the same numbers normalizes the closed-form measures by the free simplex
+volume (measure_to_probability).  At N = 3 each CDF is also a classical result
+(anchor_n3): the sample range for p-3, the minimum circular spacing for pc-nm1
+and Stevens' arc containment for pc-3 (Glaz, Naus & Wallenstein, Scan
+Statistics, 2001), which cross-check compares with the kernel over [0, 1].
 """
 
 from __future__ import annotations
@@ -56,12 +59,19 @@ class Regime(Enum):
 
 @dataclass(frozen=True)
 class ScanQuery:
+    """One CDF input; constructing it is the one domain check on (N, w), and it holds w exactly."""
+
     kind: ScanKind
     N: int
     w: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "w", _validate(self.N, self.w))
+        if self.N < 3:
+            raise DomainError(f"N must be >= 3, got {self.N}")
+        w = Fraction(self.w)
+        if not 0 <= w <= 1:
+            raise DomainError(f"w must lie in [0, 1], got {w}")
+        object.__setattr__(self, "w", w)
 
 
 @dataclass
@@ -79,16 +89,6 @@ def threshold(kind: ScanKind, N: int) -> Fraction:
     if kind is ScanKind.PC_3:
         return Fraction(2, N)
     return Fraction(2, N - 2)
-
-
-def _validate(N: int, w, n_min: int = 3) -> Fraction:
-    """The one domain check on (N, w): N >= n_min and 0 <= w <= 1; returns w exactly."""
-    if N < n_min:
-        raise DomainError(f"N must be >= {n_min}, got {N}")
-    w = Fraction(w)
-    if not 0 <= w <= 1:
-        raise DomainError(f"w must lie in [0, 1], got {w}")
-    return w
 
 
 def _common_den(kind: ScanKind, N: int, w: Fraction) -> int:
@@ -175,15 +175,19 @@ def _sum(kind: ScanKind, N: int, w: Fraction, count: int) -> ProbValue:
     return _finish(_TERMS[kind](N, w, count), sign, _common_den(kind, N, w))
 
 
-def _cdf(kind: ScanKind, N: int, w) -> ProbValue:
-    """The one evaluation path: validate, saturate, answer w = 0 for the three-point kinds, else sum."""
-    w = _validate(N, w)
+def evaluate(query: ScanQuery) -> ProbValue:
+    """The one evaluation path: saturate, answer w = 0 for the three-point kinds, else sum."""
+    kind, N, w = query.kind, query.N, query.w
     if w >= threshold(kind, N):
         return ProbValue(Fraction(1), Fraction(0), Regime.SATURATED, 0)
     g = _piece(kind, w)
     if g == 0:  # w = 0, where no window holds three points; pc-nm1 has g = 1 there and sums
         return ProbValue(Fraction(0), Fraction(1), Regime.BELOW_THRESHOLD, 0)
     return _sum(kind, N, w, _term_count(kind, g))
+
+
+def _cdf(kind: ScanKind, N: int, w) -> ProbValue:
+    return evaluate(ScanQuery(kind, N, w))
 
 
 def pc_nm1(N: int, w) -> ProbValue:
@@ -199,10 +203,6 @@ def pc_3(N: int, w) -> ProbValue:
 def p_lin_3(N: int, w) -> ProbValue:
     """P(W(3) <= w): the linear three-point window CDF."""
     return _cdf(ScanKind.P_3, N, w)
-
-
-def evaluate(query: ScanQuery) -> ProbValue:
-    return _cdf(query.kind, query.N, query.w)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +221,7 @@ def measure_to_probability(kind: ScanKind, N: int, w) -> ProbValue:
     x = 2/g - v for the piece variable g (1 - w for pc-nm1, w otherwise).
     Requires w strictly inside the non-saturated regime.
     """
-    w = _validate(N, w)
+    w = ScanQuery(kind, N, w).w
     if not 0 < w < threshold(kind, N):
         raise DomainError(f"w={w} is not strictly inside the valid regime for {kind.value}")
     v = N + (kind is ScanKind.P_3)
@@ -231,58 +231,23 @@ def measure_to_probability(kind: ScanKind, N: int, w) -> ProbValue:
 
 
 # ---------------------------------------------------------------------------
-# Classical baseline CDFs (independent oracles)
+# Classical N = 3 anchors (independent oracles)
 # ---------------------------------------------------------------------------
 
 
-def range_linear_cdf(N: int, w) -> Fraction:
-    """P(sample range <= w) = N w^(N-1) - (N-1) w^N."""
-    w = _validate(N, w, n_min=2)
-    return N * w ** (N - 1) - (N - 1) * w**N
+def anchor_n3(kind: ScanKind, w) -> Fraction:
+    """P at N = 3 from a classical closed form, exact on all of [0, 1].
 
-
-def arc_containment_cdf(N: int, w) -> Fraction:
-    """P(all N points fit in some arc of length w).
-
-    Full inclusion-exclusion over uncovered gaps; collapses to N w^(N-1) for
-    w <= 1/2.
+    p-3 is the sample range of three points, 3w^2 - 2w^3; pc-nm1 is the
+    minimum circular spacing, 1 - (1-3w)_+^2; pc-3 is Stevens' arc
+    containment, 3w^2 - 3(2w-1)_+^2 + (3w-2)_+^2.
     """
-    w = _validate(N, w, n_min=2)
-    total = Fraction(0)
-    for j in range(1, N + 1):
-        gap = 1 - j * (1 - w)
-        if gap <= 0:
-            break
-        total += (-1) ** (j + 1) * math.comb(N, j) * gap ** (N - 1)
-    return total
-
-
-def min_gap_linear_cdf(N: int, w) -> Fraction:
-    """P(min spacing of N points on the interval <= w) = 1 - (1-(N-1)w)_+^N."""
-    w = _validate(N, w, n_min=2)
-    return 1 - max(Fraction(0), 1 - (N - 1) * w) ** N
-
-
-def min_gap_circular_cdf(N: int, w) -> Fraction:
-    """P(min circular spacing <= w) = 1 - (1-Nw)_+^(N-1)."""
-    w = _validate(N, w, n_min=2)
-    return 1 - max(Fraction(0), 1 - N * w) ** (N - 1)
-
-
-BASELINES = {
-    "range_linear": range_linear_cdf,
-    "arc_containment": arc_containment_cdf,
-    "min_gap_linear": min_gap_linear_cdf,
-    "min_gap_circular": min_gap_circular_cdf,
-}
-
-
-def baseline_cdf(name: str, N: int, w) -> Fraction:
-    try:
-        fn = BASELINES[name]
-    except KeyError:
-        raise DomainError(f"unknown baseline {name!r}; choose from {sorted(BASELINES)}") from None
-    return fn(N, w)
+    w = ScanQuery(kind, 3, w).w
+    if kind is ScanKind.P_3:
+        return 3 * w**2 - 2 * w**3
+    if kind is ScanKind.PC_NM1:
+        return 1 - max(1 - 3 * w, 0) ** 2
+    return 3 * w**2 - 3 * max(2 * w - 1, 0) ** 2 + max(3 * w - 2, 0) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +291,7 @@ def floor_boundary_gap(kind: ScanKind, N: int, j: int) -> Fraction:
     probability.
     """
     g = Fraction(1, j)
-    w = _piece(kind, g)
+    w = ScanQuery(kind, N, _piece(kind, g)).w
     if not 0 < w < threshold(kind, N):
         raise DomainError(f"junction w={w} outside the valid regime")
     hi = _term_count(kind, g)

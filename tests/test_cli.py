@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -105,6 +106,8 @@ class TestErrors:
             ("verify-measures", "--n-max", "1"),
             ("cross-check", "--n-max", "2"),
             ("cross-check", "--grid", "0"),
+            # past the oracle's bound: refused before any check runs
+            ("verify-measures", "--n-max", "7"),
         ],
     )
     def test_empty_verify_range_exits_2(self, capsys, argv):
@@ -126,6 +129,22 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert err.startswith("error: --seed must be >= 0") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "--stat", "p-3", "--N", "3", "--w", "1/" + "7" * 4400),
+            ("table", "--stat", "p-3", "--N", "3", "--w", "1/5,1/" + "7" * 4400),
+            ("table", "--stat", "p-3", "--N", "3," + "7" * 4400, "--w", "1/5"),
+        ],
+        ids=["eval", "table_w", "table_N"],
+    )
+    def test_width_past_the_digit_limit_exits_2_with_one_short_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and len(err) < 250
+        assert err.endswith(f"; the interpreter limits integers to {sys.get_int_max_str_digits()} digits\n")
 
     def test_out_of_memory_exits_2(self, capsys, monkeypatch):
         import scanstat.montecarlo as mc
@@ -269,6 +288,16 @@ class TestVerifyCommands:
                 for kind in sp.ScanKind for N in (3, 4) for j in (1, 2)]
         assert calls == want
 
+    def test_cross_check_wrong_anchor_exits_3(self, capsys, monkeypatch):
+        sp = cli.scanprob
+        real = sp.anchor_n3
+        monkeypatch.setattr(sp, "anchor_n3", lambda kind, w: real(kind, w) + (kind is sp.ScanKind.PC_3) * w**3)
+        code, out, _ = run(capsys, "cross-check", "--n-max", "4", "--grid", "4", "--format", "json")
+        assert code == 3
+        failed = [c for c in json.loads(out)["report"]["checks"] if not c["passed"]]
+        assert [c["name"] for c in failed] == ["classical_anchors_at_N3"]
+        assert failed[0]["detail"] == "discrepancy ('pc-3', '1/5')"
+
     @pytest.mark.parametrize("n_max, junction_n_max", [("6", "6"), ("12", "10")])
     def test_cross_check_names_junction_cap(self, capsys, n_max, junction_n_max):
         code, out, _ = run(capsys, "cross-check", "--n-max", n_max, "--grid", "2", "--format", "json")
@@ -290,3 +319,20 @@ def test_parse_rational():
     assert cli.parse_rational("0.25") == Fraction(1, 4)
     with pytest.raises(DomainError):
         cli.parse_rational("1/0")
+
+
+# sha256 prefixes of stdout: a change to any of these outputs, even by one
+# byte, must be deliberate and must update this table
+GOLDEN_STDOUT = [
+    (("eval", "--stat", "pc-3", "--N", "200", "--w", "3/1000", "--format", "json"), "b3add5926610c98b"),
+    (("table", "--stat", "p-3", "--N", "3,5,8,20", "--w", "1/10,1/5,1/3,1/2,9/10"), "f62cd4240ec7c3ee"),
+    (("verify-series", "--order", "10", "--format", "json"), "0050214ddd9a280a"),
+    (("cross-check", "--format", "json"), "4b4185fd8c061f74"),
+]
+
+
+@pytest.mark.parametrize("argv, prefix", GOLDEN_STDOUT, ids=[argv[0] for argv, _ in GOLDEN_STDOUT])
+def test_golden_stdout(capsys, argv, prefix):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == prefix

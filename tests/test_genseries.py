@@ -94,11 +94,11 @@ class TestClosedForm:
     def test_riccati_order_zero_vacuous(self):
         assert gs.verify_riccati(0).passed
 
-    def test_riccati_negative_control(self):
-        f = gs.riccati_solution(5)
-        coefs = list(f.coefs)
+    def test_riccati_negative_control(self, monkeypatch):
+        coefs = list(gs.riccati_solution(5).coefs)
         coefs[3] = coefs[3] - ExpPoly.term(1, 0, 1)
-        rep = gs.verify_riccati(5, f=gs.TruncSeries(coefs))
+        monkeypatch.setattr(gs, "riccati_solution", lambda order: gs.TruncSeries(coefs))
+        rep = gs.verify_riccati(5)
         assert not rep.passed
         assert "t^" in rep.first_failure().detail
 
@@ -119,8 +119,14 @@ class TestIdentities:
     def test_suite_passes(self):
         assert gs.verify_identities(8).passed
 
-    def test_negative_control_drop_alpha1_sq(self):
-        rep = gs.verify_identities(6, drop_alpha1_sq=True)
+    def test_negative_control_corrupt_expansion(self, monkeypatch):
+        # with Q, R and F built, only the geometric expansion of check 4 still
+        # calls _exp_linear_series; a private memo keeps the corruption local
+        gs.verify_identities(6)
+        monkeypatch.setattr(gs, "_ORDER_MEMO", dict(gs._ORDER_MEMO))
+        real = gs._exp_linear_series
+        monkeypatch.setattr(gs, "_exp_linear_series", lambda base, rate, order: real(base + 1, rate, order))
+        rep = gs.verify_identities(6)
         assert not rep.passed
         assert rep.first_failure().name == "q_over_r_geometric_expansion"
 

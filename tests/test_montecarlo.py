@@ -131,6 +131,17 @@ class TestDensityOracle:
         with pytest.raises(DomainError, match="x must be finite"):
             mc.density_oracle(MeasureKind.A_CYCLIC, 3, x, samples=100_000)
 
+    @pytest.mark.parametrize("x", [1e80, 1e308])
+    def test_overflowing_volume_is_a_domain_error_before_drawing(self, x, monkeypatch):
+        # (x + 5)^4 overflows a float; nothing may be drawn first
+        monkeypatch.setattr(mc, "_chunked_count", lambda *a: pytest.fail("drew samples"))
+        with pytest.raises(DomainError, match="slice volume overflows"):
+            mc.density_oracle(MeasureKind.A_CYCLIC, 5, x, samples=100_000)
+
+    def test_n_range_is_the_oracle_bound(self):
+        with pytest.raises(DomainError, match=f"2 <= n <= {mc.ORACLE_N_MAX}"):
+            mc.density_oracle(MeasureKind.A_CYCLIC, mc.ORACLE_N_MAX + 1, 0.0, samples=100_000)
+
 
 class TestWilson:
     def test_bounds_ordering(self):

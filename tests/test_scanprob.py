@@ -60,10 +60,10 @@ class TestCircularThreePoint:
         assert sp.pc_3(5, F(3, 10)).p == F(189, 200)
 
     def test_stevens_coverage_matches_beyond_half(self):
-        # the arc-containment baseline keeps the full alternating sum, so it
+        # the arc-containment anchor keeps the full alternating sum, so it
         # stays valid past w = 1/2 and corroborates the N = 3 formula there
         for w in (F(11, 20), F(3, 5), F(5, 8)):
-            assert sp.pc_3(3, w).p == sp.arc_containment_cdf(3, w)
+            assert sp.pc_3(3, w).p == sp.anchor_n3(ScanKind.PC_3, w)
 
 
 class TestLinearThreePoint:
@@ -163,20 +163,27 @@ class TestMeasurePathway:
 
 
 class TestBaselines:
-    def test_values(self):
-        assert sp.baseline_cdf("range_linear", 3, F(1, 2)) == F(1, 2)
-        assert sp.baseline_cdf("min_gap_circular", 3, F(1, 6)) == F(3, 4)
-        assert sp.baseline_cdf("arc_containment", 3, F(1, 5)) == F(3, 25)
-        assert sp.baseline_cdf("min_gap_linear", 4, F(1, 3)) == 1
+    """The classical N = 3 anchors: sample range, minimum circular spacing, arc containment."""
 
-    def test_unknown_name(self):
-        with pytest.raises(DomainError):
-            sp.baseline_cdf("nope", 3, F(1, 2))
+    def test_values(self):
+        assert sp.anchor_n3(ScanKind.P_3, F(1, 2)) == F(1, 2)
+        assert sp.anchor_n3(ScanKind.PC_NM1, F(1, 6)) == F(3, 4)
+        assert sp.anchor_n3(ScanKind.PC_3, F(1, 5)) == F(3, 25)
 
     def test_min_gap_circular_is_pc_nm1_at_n3(self):
         for j in range(1, 10):
             w = F(j, 30)
-            assert sp.min_gap_circular_cdf(3, w) == sp.pc_nm1(3, w).p
+            assert sp.anchor_n3(ScanKind.PC_NM1, w) == sp.pc_nm1(3, w).p
+
+    def test_each_anchor_is_its_kernel_on_all_of_the_unit_interval(self):
+        # every a/b with b < 30, the saturated widths and both ends included
+        widths = sorted({F(a, b) for b in range(1, 30) for a in range(b + 1)})
+        for kind in ScanKind:
+            assert [sp.anchor_n3(kind, w) for w in widths] == [sp._cdf(kind, 3, w).p for w in widths], kind
+
+    def test_width_outside_the_unit_interval(self):
+        with pytest.raises(DomainError, match="w must lie in"):
+            sp.anchor_n3(ScanKind.PC_3, F(3, 2))
 
 
 class TestProperties:
@@ -306,6 +313,27 @@ class TestTabulateAndQuery:
         assert sp.evaluate(q).p == F(1, 2)
         with pytest.raises(DomainError):
             ScanQuery(ScanKind.P_3, 2, F(1, 2))
+
+    def test_each_entry_point_checks_n_and_w_once(self, monkeypatch):
+        checks = []
+        real = ScanQuery.__post_init__
+        monkeypatch.setattr(ScanQuery, "__post_init__", lambda q: checks.append(q) or real(q))
+        w = F(1, 5)
+        for call in (
+            lambda: sp.evaluate(ScanQuery(ScanKind.P_3, 5, w)),
+            lambda: sp.pc_nm1(5, w),
+            lambda: sp.pc_3(5, w),
+            lambda: sp.p_lin_3(5, w),
+            lambda: sp.measure_to_probability(ScanKind.PC_3, 5, w),
+            lambda: sp.tabulate(ScanKind.PC_3, [5], [w]),
+            lambda: sp.anchor_n3(ScanKind.PC_3, w),
+            lambda: sp.floor_boundary_gap(ScanKind.PC_3, 5, 7),
+        ):
+            checks.clear()
+            call()
+            assert len(checks) == 1
+        with pytest.raises(DomainError, match="N must be >= 3"):
+            sp.floor_boundary_gap(ScanKind.P_3, 2, 3)
 
     def test_active_terms_counted(self):
         v = sp.pc_3(5, F(3, 10))
