@@ -154,8 +154,7 @@ def _cmd_verify_measures(args) -> int:
     from . import montecarlo
     from .report import Report
 
-    if not 2 <= args.n_max <= montecarlo.ORACLE_N_MAX:
-        raise DomainError(f"--n-max must be >= 2 and <= {montecarlo.ORACLE_N_MAX}, got {args.n_max}")
+    montecarlo.check_oracle_args(args.n_max, args.samples, args.seed)
     combined = Report("verify-measures")
     for sub in (
         measures.continuity_report(args.n_max),
@@ -284,8 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "seed", 0) < 0:
-            raise DomainError(f"--seed must be >= 0, got {args.seed}")
         return args.fn(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,25 +2,22 @@
 the measure oracle with its report.
 
 This is the only module that imports numpy; the exact layers never load it.
-Every estimate is a pure function of (seed, samples), so results are
-reproducible bit for bit, and a negative seed is a DomainError.  The two
-window samplers draw from the first child of SeedSequence(seed) with
-rng.random((rows, N)), which fills whole rows in order, so sweeping blocks
-of _ROW_BLOCK rows gives the estimates of one monolithic draw for any block
-size.  The measure oracle draws from default_rng(seed) variable-major, so
-its estimates do depend on its chunk size.  All three share one block loop,
-_chunked_count.  Confidence intervals are Wilson score intervals, which
-behave correctly near 0 and 1 where the saturation tests live.
+Every estimate is a pure function of (seed, samples), reproducible bit for
+bit, and a negative seed is a DomainError.  Every sampler draws whole rows in
+order from the first child of SeedSequence(seed), and _chunked_count sweeps
+the draw in blocks of rows, so no estimate depends on the block size.
+Confidence intervals are Wilson score intervals, which behave correctly near
+0 and 1 where the saturation tests live.
 
 The hot loops avoid per-row reductions over short axes: the window minimum
 is a running np.minimum over the columns of the row-sorted block,
-empirical_cdf counts every grid width with one sort and searchsorted, and
-the coverage depth is a count of comparisons rather than a sort of the
-arc endpoints.  The minimum depth over the circle is attained just after an
-arc end e_j, where it equals #{s_i <= e_j} + #{e_i > e_j} - #unwrapped
-(see min_coverage_depth); that costs O(N^2) comparisons per row, which at
-the N <= 8 of every caller is about five times faster than sorting the 2N
-endpoints.
+empirical_cdf and the measure oracle count every grid point with one sort
+and searchsorted, and the coverage depth is a count of comparisons rather
+than a sort of the arc endpoints.  The minimum depth over the circle is
+attained just after an arc end e_j, where it equals #{s_i <= e_j} +
+#{e_i > e_j} - #unwrapped (see min_coverage_depth); that costs O(N^2)
+comparisons per row, which at the N <= 8 of every caller is about five
+times faster than sorting the 2N endpoints.
 """
 
 from __future__ import annotations
@@ -42,7 +39,7 @@ _ROW_BLOCK = 4096
 
 def _check_seed(seed: int) -> None:
     if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
+        raise DomainError(f"--seed must be >= 0, got {seed}")
 
 
 @dataclass(frozen=True)
@@ -224,14 +221,21 @@ def coverage_dual(N: int, k: int, w: float, samples: int, seed: int = 0) -> CdfE
 # ---------------------------------------------------------------------------
 
 _MIN_ORACLE_SAMPLES = 10**5
-# largest n the measure oracle samples; verify-measures checks --n-max against it
+# largest n the measure oracle samples
 ORACLE_N_MAX = 6
-# draws per (v, m) chunk; which draw feeds which variable depends on m, so
-# changing this changes every verify-measures number
+# rows per block of the oracle's draw, a memory cap only.  Freeing blocks of up
+# to 14 MB raises glibc's mmap threshold, which keeps the window samplers' small
+# blocks on the heap; after 4096-row oracle blocks coverage_dual runs 1.5x slower.
 _ORACLE_CHUNK = 250_000
-# columns per counting block; any value gives the same counts, this one keeps
-# bound and the pair sums in cache
-_COLUMN_BLOCK = 8192
+
+
+def check_oracle_args(n_max: int, samples: int, seed: int) -> None:
+    """The one check on the oracle's arguments; the messages name the verify-measures options."""
+    if not 2 <= n_max <= ORACLE_N_MAX:
+        raise DomainError(f"--n-max must be >= 2 and <= {ORACLE_N_MAX}, got {n_max}")
+    if samples < _MIN_ORACLE_SAMPLES:
+        raise DomainError(f"--samples must be >= {_MIN_ORACLE_SAMPLES}, got {samples}")
+    _check_seed(seed)
 
 
 @dataclass
@@ -251,82 +255,73 @@ def _constraint_pairs(kind: MeasureKind, n: int) -> list[tuple[int, int]]:
     return [(i, (i + 1) % n) for i in range(n)]
 
 
-def density_oracle(kind: MeasureKind, n: int, x: float, samples: int = 10**6, seed: int = 0) -> DensityEstimate:
-    """Monte Carlo estimate of the density-of-sum measure at x.
+def density_oracle(kind: MeasureKind, n: int, xs, samples: int = 10**6, seed: int = 0) -> list[DensityEstimate]:
+    """Monte Carlo estimates of the density-of-sum measure, one per x in xs.
 
     Samples the simplex slice {y_i >= 0, sum y_i = S} exactly, with v = n
     variables (n + 1 for C) and S = x + v: a point is v standard
     exponentials e scaled by S / sum(e).  The measure is the slice volume
     S^(v-1)/(v-1)! times the fraction of points whose constrained adjacent
-    pairs satisfy y_i + y_j <= 2 (F, A) or >= 2 (B, C), which on the raw
-    draws reads e_i + e_j against 2 sum(e) / S.  No smoothing window enters,
-    so the estimate is unbiased.  (For F the upper bounds y_i <= 2 follow
-    from the pair constraints, since every variable sits in a pair.)
-
-    The (v, m) draw is variable-major, so which draw feeds which variable,
-    and so the estimate, depends on _ORACLE_CHUNK.  The column blocks that
-    count the hits do not: each column sum adds the same v values in order.
+    pairs satisfy y_i + y_j <= 2 (F, A) or >= 2 (B, C).  On the raw draws
+    that reads S <= 2 sum(e) / max(e_i + e_j) (F, A) or S >= 2 sum(e) /
+    min(e_i + e_j) (B, C); C at n = 2 has no pair, so every point is a hit.
+    So one draw serves every x: the critical sums of a block are sorted once
+    and each S counted by searchsorted.  No smoothing window enters, so each
+    estimate is unbiased, and the estimates of one call share the draw and
+    are correlated.  (For F the upper bounds y_i <= 2 follow from the pair
+    constraints, since every variable sits in a pair.)
     """
-    if not 2 <= n <= ORACLE_N_MAX:
-        raise DomainError(f"density_oracle supports 2 <= n <= {ORACLE_N_MAX}, got {n}")
-    if samples < _MIN_ORACLE_SAMPLES:
-        raise DomainError(f"at least {_MIN_ORACLE_SAMPLES} samples required, got {samples}")
-    _check_seed(seed)
-    if not math.isfinite(x):
-        raise DomainError(f"x must be finite, got {x}")
+    check_oracle_args(n, samples, seed)
     v = n + 1 if kind is MeasureKind.C_LINEAR_GE else n
-    total_sum = x + v
-    if total_sum <= 0:
-        return DensityEstimate(value=0.0, std_error=1.0 / samples, samples=samples)
+    sums = np.asarray([float(x) + v for x in xs])
+    if not np.isfinite(sums).all():
+        raise DomainError(f"x must be finite, got {sums[~np.isfinite(sums)][0]}")
     try:
-        volume = float(total_sum) ** (v - 1) / math.factorial(v - 1)
+        # S <= 0 leaves an empty slice of volume 0
+        volumes = [max(s, 0.0) ** (v - 1) / math.factorial(v - 1) for s in sums.tolist()]
     except OverflowError:
-        raise DomainError(f"x={x} is too large: the slice volume overflows a float") from None
-    pairs = _constraint_pairs(kind, n)
-    compare = np.less_equal if kind in (MeasureKind.F_LINEAR, MeasureKind.A_CYCLIC) else np.greater_equal
+        raise DomainError(f"x={sums.max() - v} is too large: the slice volume overflows a float") from None
+    below = kind in (MeasureKind.F_LINEAR, MeasureKind.A_CYCLIC)
+    extreme = np.maximum if below else np.minimum
 
     def count(rng, m):
-        draws = rng.standard_exponential((v, m))
-        hits = 0
-        for start in range(0, m, _COLUMN_BLOCK):
-            e = draws[:, start : start + _COLUMN_BLOCK]
-            bound = e.sum(axis=0)
-            bound *= 2.0 / total_sum
-            ok = np.ones(e.shape[1], dtype=bool)
-            for i, j in pairs:
-                ok &= compare(e[i] + e[j], bound)
-            hits += int(np.count_nonzero(ok))
-        return hits
+        cols = np.ascontiguousarray(rng.standard_exponential((m, v)).T)
+        bound = np.full(m, 0.0 if below else np.inf)
+        for i, j in _constraint_pairs(kind, n):
+            extreme(bound, cols[i] + cols[j], out=bound)
+        critical = np.sort(2.0 * cols.sum(axis=0) / bound)
+        if below:
+            return m - np.searchsorted(critical, sums, side="left")
+        return np.searchsorted(critical, sums, side="right")
 
-    hits = _chunked_count(np.random.default_rng(seed), samples, count, _ORACLE_CHUNK)
-    p_hat = hits / samples
-    p_safe = min(max(p_hat, 1.0 / samples), 1.0 - 1.0 / samples)
-    return DensityEstimate(
-        value=p_hat * volume,
-        std_error=volume * math.sqrt(p_safe * (1 - p_safe) / samples),
-        samples=samples,
-    )
+    hits = _chunked_count(_seeded_rng(seed), samples, count, _ORACLE_CHUNK)
+    out = []
+    for c, volume in zip(hits.tolist(), volumes):
+        p_safe = min(max(c / samples, 1.0 / samples), 1.0 - 1.0 / samples)
+        std_error = volume * math.sqrt(p_safe * (1 - p_safe) / samples) if volume else 1.0 / samples
+        out.append(DensityEstimate(value=c / samples * volume, std_error=std_error, samples=samples))
+    return out
 
 
 def oracle_rows(n_max: int = 5, samples: int = 10**6, seed: int = 42, points: int = 10) -> list[dict]:
-    """Closed-form vs Monte Carlo comparison rows for every measure family."""
-    _check_seed(seed)
+    """Closed-form vs Monte Carlo comparison rows for every measure family,
+    from one draw per (kind, n) with seed + 1000 n."""
+    check_oracle_args(n_max, samples, seed)
     rows = []
     for kind in MeasureKind:
         for n in range(2, n_max + 1):
-            for idx, x in enumerate(interior_grid(kind, n, points)):
-                closed = closed_measure(kind, n, x)
-                est = density_oracle(kind, n, float(x), samples, seed=seed + 1000 * n + idx)
-                z = (est.value - float(closed)) / est.std_error if est.std_error else 0.0
+            xs = interior_grid(kind, n, points)
+            for x, est in zip(xs, density_oracle(kind, n, xs, samples, seed + 1000 * n)):
+                closed = float(closed_measure(kind, n, x))
                 rows.append(
                     {
                         "kind": kind.value,
                         "n": n,
                         "x": str(x),
-                        "closed": float(closed),
+                        "closed": closed,
                         "oracle": est.value,
                         "std_err": est.std_error,
-                        "z": z,
+                        "z": (est.value - closed) / est.std_error,
                     }
                 )
     return rows

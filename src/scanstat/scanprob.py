@@ -57,6 +57,11 @@ class Regime(Enum):
     SATURATED = "saturated"
 
 
+def _check_N(N: int) -> None:
+    if N < 3:
+        raise DomainError(f"N must be >= 3, got {N}")
+
+
 @dataclass(frozen=True)
 class ScanQuery:
     """One CDF input; constructing it is the one domain check on (N, w), and it holds w exactly."""
@@ -66,8 +71,7 @@ class ScanQuery:
     w: Fraction
 
     def __post_init__(self):
-        if self.N < 3:
-            raise DomainError(f"N must be >= 3, got {self.N}")
+        _check_N(self.N)
         w = Fraction(self.w)
         if not 0 <= w <= 1:
             raise DomainError(f"w must lie in [0, 1], got {w}")
@@ -84,6 +88,7 @@ class ProbValue:
 
 def threshold(kind: ScanKind, N: int) -> Fraction:
     """Width at and beyond which the CDF is identically 1."""
+    _check_N(N)
     if kind is ScanKind.PC_NM1:
         return 1 - Fraction(2, N)
     if kind is ScanKind.PC_3:

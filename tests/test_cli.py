@@ -146,6 +146,18 @@ class TestErrors:
         assert err.count("\n") == 1 and len(err) < 250
         assert err.endswith(f"; the interpreter limits integers to {sys.get_int_max_str_digits()} digits\n")
 
+    @pytest.mark.parametrize("argv", [("--samples", "10"), ("--n-max", "7"), ("--seed", "-1")])
+    def test_verify_measures_checks_the_oracle_arguments_first(self, capsys, monkeypatch, argv):
+        import scanstat.measures as ms
+        import scanstat.montecarlo as mc
+
+        monkeypatch.setattr(ms, "continuity_report", lambda *a: pytest.fail("ran an exact check"))
+        monkeypatch.setattr(mc, "_chunked_count", lambda *a: pytest.fail("drew samples"))
+        code, out, err = run(capsys, "verify-measures", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {argv[0]} must be >= ") and err.count("\n") == 1
+
     def test_out_of_memory_exits_2(self, capsys, monkeypatch):
         import scanstat.montecarlo as mc
 

@@ -118,29 +118,34 @@ class TestTransformCrosscheck:
         assert ms.f_closed(1, F(101, 100)) == 0
 
 
+def _one_point(kind, n, x, samples, seed=0):
+    (est,) = mc.density_oracle(kind, n, [x], samples, seed)
+    return est
+
+
 class TestDensityOracle:
     def test_a2_point(self):
-        est = mc.density_oracle(MeasureKind.A_CYCLIC, 2, -1.0, samples=200_000, seed=1)
+        est = _one_point(MeasureKind.A_CYCLIC, 2, -1.0, samples=200_000, seed=1)
         assert abs(est.value - 1.0) <= 3 * est.std_error
 
     def test_b2_point(self):
-        est = mc.density_oracle(MeasureKind.B_CYCLIC_GE, 2, 1.0, samples=200_000, seed=2)
+        est = _one_point(MeasureKind.B_CYCLIC_GE, 2, 1.0, samples=200_000, seed=2)
         assert abs(est.value - 3.0) <= 3 * est.std_error
 
     def test_f2_point(self):
-        est = mc.density_oracle(MeasureKind.F_LINEAR, 2, -1.0, samples=200_000, seed=3)
+        est = _one_point(MeasureKind.F_LINEAR, 2, -1.0, samples=200_000, seed=3)
         assert abs(est.value - float(ms.f_closed(2, -1))) <= 3 * est.std_error
 
     def test_c3_point(self):
-        est = mc.density_oracle(MeasureKind.C_LINEAR_GE, 3, 1.5, samples=200_000, seed=4)
+        est = _one_point(MeasureKind.C_LINEAR_GE, 3, 1.5, samples=200_000, seed=4)
         assert abs(est.value - float(ms.c_closed(3, F(3, 2)))) <= 3 * est.std_error
 
     def test_insufficient_samples_rejected(self):
         with pytest.raises(DomainError):
-            mc.density_oracle(MeasureKind.A_CYCLIC, 2, -1.0, samples=10_000)
+            _one_point(MeasureKind.A_CYCLIC, 2, -1.0, samples=10_000)
 
     def test_estimate_fields(self):
-        est = mc.density_oracle(MeasureKind.B_CYCLIC_GE, 3, 1.0, samples=100_000, seed=5)
+        est = _one_point(MeasureKind.B_CYCLIC_GE, 3, 1.0, samples=100_000, seed=5)
         assert est.samples == 100_000
         assert est.std_error > 0
         assert est.value >= 0
@@ -157,33 +162,43 @@ class TestDensityOracle:
         ids=["a5", "f4", "a4"],
     )
     def test_support_edge_cells(self, kind, n, x, seed):
-        est = mc.density_oracle(kind, n, float(x), samples=10**6, seed=seed)
+        est = _one_point(kind, n, x, samples=10**6, seed=seed)
         assert abs(est.value - float(ms.closed_measure(kind, n, x))) <= 4 * est.std_error
 
     @pytest.mark.parametrize("n", [2, 5])
     @pytest.mark.parametrize("kind", list(MeasureKind))
-    def test_blocked_count_matches_whole_chunk_count(self, kind, n):
-        # two chunks of draws, the second ending in a partial column block
-        samples = 250_000 + 8_193
-        x = float(ms.interior_grid(kind, n, 3)[1])
+    def test_estimates_ignore_block_size(self, monkeypatch, kind, n):
+        # two blocks at the default size, the second partial; 259 at 1000 rows
+        samples = mc._ORACLE_CHUNK + 8_193
+        xs = ms.interior_grid(kind, n, 3)
         v = n + 1 if kind is MeasureKind.C_LINEAR_GE else n
-        total_sum = x + v
-        compare = np.less_equal if kind in (MeasureKind.F_LINEAR, MeasureKind.A_CYCLIC) else np.greater_equal
-        rng = np.random.default_rng(7)
-        hits = 0
-        for m in (250_000, 8_193):
-            # each chunk counted as one array
-            e = rng.standard_exponential((v, m))
-            bound = e.sum(axis=0)
-            bound *= 2.0 / total_sum
-            ok = np.ones(m, dtype=bool)
+        # reference: every point's pair constraints read directly off one
+        # monolithic (samples, v) draw from the samplers' seeded generator
+        e = mc._seeded_rng(7).standard_exponential((samples, v))
+        expected = []
+        for x in xs:
+            total_sum = float(x) + v
+            bound = e.sum(axis=1) * (2.0 / total_sum)
+            ok = np.ones(samples, dtype=bool)
             for i, j in mc._constraint_pairs(kind, n):
-                ok &= compare(e[i] + e[j], bound)
-            hits += int(np.count_nonzero(ok))
-        assert hits > 0
-        volume = total_sum ** (v - 1) / math.factorial(v - 1)
-        est = mc.density_oracle(kind, n, x, samples, seed=7)
-        assert est.value == hits / samples * volume
+                if kind in (MeasureKind.F_LINEAR, MeasureKind.A_CYCLIC):
+                    ok &= e[:, i] + e[:, j] <= bound
+                else:
+                    ok &= e[:, i] + e[:, j] >= bound
+            expected.append(int(ok.sum()))
+        # at n = 2 every grid point is a hit; at n = 5 some points are not
+        assert n == 2 or any(0 < h < samples for h in expected)
+        default = mc.density_oracle(kind, n, xs, samples, seed=7)
+        monkeypatch.setattr(mc, "_ORACLE_CHUNK", 1000)
+        assert mc.density_oracle(kind, n, xs, samples, seed=7) == default
+        volumes = [(float(x) + v) ** (v - 1) / math.factorial(v - 1) for x in xs]
+        assert [est.value for est in default] == [h / samples * vol for h, vol in zip(expected, volumes)]
+
+    @pytest.mark.parametrize("kind", list(MeasureKind))
+    def test_grid_entry_equals_the_one_point_call(self, kind):
+        xs = ms.interior_grid(kind, 4, 5)
+        grid = mc.density_oracle(kind, 4, xs, 100_000, seed=3)
+        assert grid == [_one_point(kind, 4, x, 100_000, seed=3) for x in xs]
 
 
 @pytest.mark.slow
@@ -220,7 +235,7 @@ class TestOpenChainSetReading:
         assert abs(value - float(ms.c_closed(2, 1))) > 10 * se  # and rejects c_2 = 8
 
     def test_interior_reading_agrees(self):
-        est = mc.density_oracle(MeasureKind.C_LINEAR_GE, 2, 1.0, samples=400_000, seed=123)
+        est = _one_point(MeasureKind.C_LINEAR_GE, 2, 1.0, samples=400_000, seed=123)
         assert abs(est.value - 8.0) <= 4 * est.std_error
 
 
@@ -229,3 +244,29 @@ def test_oracle_rows_structure():
     assert len(rows) == 4 * 3
     assert {r["kind"] for r in rows} == {"f", "a", "b", "c"}
     assert all(r["std_err"] > 0 for r in rows)
+
+
+def test_rows_depend_only_on_their_own_kind_and_n():
+    # one draw per (kind, n), seeded by n alone: a larger n_max adds rows and changes none
+    small = mc.oracle_rows(n_max=3, samples=100_000, seed=9)
+    large = mc.oracle_rows(n_max=5, samples=100_000, seed=9)
+    assert small == [r for r in large if r["n"] <= 3]
+
+
+@pytest.mark.parametrize("args", [(7, 100_000, 0), (1, 100_000, 0), (5, 10, 0), (5, 100_000, -1)],
+                         ids=["n_max_7", "n_max_1", "samples_10", "seed_-1"])
+def test_oracle_rows_checks_its_arguments_before_drawing(monkeypatch, args):
+    monkeypatch.setattr(mc, "_chunked_count", lambda *a: pytest.fail("drew samples"))
+    with pytest.raises(DomainError):
+        mc.oracle_rows(*args)
+
+
+def test_verify_measures_draws_once_per_kind_and_n(monkeypatch, capsys):
+    from scanstat import cli
+
+    calls = []
+    real = mc._chunked_count
+    monkeypatch.setattr(mc, "_chunked_count", lambda *a: calls.append(a) or real(*a))
+    assert cli.main(["verify-measures", "--n-max", "5", "--samples", "100000", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert len(calls) == len(MeasureKind) * 4  # n = 2..5

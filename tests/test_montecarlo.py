@@ -127,20 +127,21 @@ class TestCoverageDepth:
 
 class TestDensityOracle:
     @pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
-    def test_non_finite_x_is_a_domain_error(self, x):
+    def test_non_finite_x_is_a_domain_error(self, x, monkeypatch):
+        monkeypatch.setattr(mc, "_chunked_count", lambda *a: pytest.fail("drew samples"))
         with pytest.raises(DomainError, match="x must be finite"):
-            mc.density_oracle(MeasureKind.A_CYCLIC, 3, x, samples=100_000)
+            mc.density_oracle(MeasureKind.A_CYCLIC, 3, [0.5, x, -0.5], samples=100_000)
 
     @pytest.mark.parametrize("x", [1e80, 1e308])
     def test_overflowing_volume_is_a_domain_error_before_drawing(self, x, monkeypatch):
         # (x + 5)^4 overflows a float; nothing may be drawn first
         monkeypatch.setattr(mc, "_chunked_count", lambda *a: pytest.fail("drew samples"))
         with pytest.raises(DomainError, match="slice volume overflows"):
-            mc.density_oracle(MeasureKind.A_CYCLIC, 5, x, samples=100_000)
+            mc.density_oracle(MeasureKind.A_CYCLIC, 5, [-1.0, x, -2.0], samples=100_000)
 
     def test_n_range_is_the_oracle_bound(self):
-        with pytest.raises(DomainError, match=f"2 <= n <= {mc.ORACLE_N_MAX}"):
-            mc.density_oracle(MeasureKind.A_CYCLIC, mc.ORACLE_N_MAX + 1, 0.0, samples=100_000)
+        with pytest.raises(DomainError, match=f"--n-max must be >= 2 and <= {mc.ORACLE_N_MAX}"):
+            mc.density_oracle(MeasureKind.A_CYCLIC, mc.ORACLE_N_MAX + 1, [0.0], samples=100_000)
 
 
 class TestWilson:
@@ -159,9 +160,9 @@ class TestWilson:
     [
         lambda: mc.empirical_cdf(mc.SimConfig(5, 3, 1_000, seed=-1), "linear", [0.5]),
         lambda: mc.coverage_dual(5, 4, 0.5, 1_000, seed=-1),
-        lambda: mc.density_oracle(MeasureKind.A_CYCLIC, 2, -1.0, samples=100_000, seed=-1),
+        lambda: mc.density_oracle(MeasureKind.A_CYCLIC, 2, [-1.0], samples=100_000, seed=-1),
         lambda: mc.oracle_report(seed=-3000),
-        # the oracle cells offset the seed by 1000 n + idx, so -1 must fail before that
+        # the oracle draws offset the seed by 1000 n, so -1 must fail before that
         lambda: mc.oracle_report(seed=-1),
     ],
     ids=["empirical_cdf", "coverage_dual", "density_oracle", "oracle_report_-3000", "oracle_report_-1"],

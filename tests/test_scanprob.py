@@ -335,6 +335,12 @@ class TestTabulateAndQuery:
         with pytest.raises(DomainError, match="N must be >= 3"):
             sp.floor_boundary_gap(ScanKind.P_3, 2, 3)
 
+    @pytest.mark.parametrize("N", [2, 1, 0])
+    @pytest.mark.parametrize("kind", list(ScanKind))
+    def test_threshold_rejects_n_below_3(self, kind, N):
+        with pytest.raises(DomainError, match=f"^N must be >= 3, got {N}$"):
+            sp.threshold(kind, N)
+
     def test_active_terms_counted(self):
         v = sp.pc_3(5, F(3, 10))
         assert v.active_terms == 2  # (2-Nw)^4 and the single p=3 term
