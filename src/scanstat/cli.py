@@ -4,7 +4,8 @@ Commands: eval, table, simulate, verify-series, verify-measures, cross-check.
 Widths are accepted only as exact rational strings ("1/6", "0.25"), never as
 binary floats, so the exact path never inherits parser rounding.  Only
 simulate and verify-measures import the samplers, and with them numpy.  Exit
-codes: 0 success, 2 usage, domain or out-of-memory error, 3 verification failure.
+codes: 0 success, 1 stdout closed before the output was written (`| head`),
+2 usage, domain or out-of-memory error, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -23,6 +25,7 @@ from .exactnum import DomainError, format_rational
 SCHEMA = 3
 
 EXIT_OK = 0
+EXIT_PIPE = 1
 EXIT_USAGE = 2
 EXIT_VERIFY = 3
 
@@ -154,16 +157,16 @@ def _cmd_verify_measures(args) -> int:
     from . import montecarlo
     from .report import Report
 
-    montecarlo.check_oracle_args(args.n_max, args.samples, args.seed)
+    # the oracle checks --n-max, --samples and --seed before any check runs
+    oracle_rep, rows = montecarlo.oracle_report(args.n_max, args.samples, args.seed)
     combined = Report("verify-measures")
     for sub in (
         measures.continuity_report(args.n_max),
         measures.support_report(args.n_max),
         measures.transform_crosscheck_report(args.n_max),
+        oracle_rep,
     ):
         combined.checks.extend(sub.checks)
-    oracle_rep, rows = montecarlo.oracle_report(args.n_max, args.samples, args.seed)
-    combined.checks.extend(oracle_rep.checks)
     return _report_exit(combined, args.format, rows)
 
 
@@ -283,7 +286,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (`scanstat ... | head`): send the rest
+        # of the output to devnull so the exit flush cannot fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -18,8 +18,11 @@ convention is what makes the transform base case e^s - e^{-s} come out):
 
 Evaluation conventions, fixed once for the whole artifact:
 
-  * H(0) = 1 (the measures are continuous except for the degenerate n = 2
-    jump at x = 0, where the closed forms return the right-hand limit);
+  * H(0) = 1: every Heaviside gate reads `arg >= 0`, so each evaluator is a
+    function of (n, x) alone and returns the right-hand limit wherever a
+    piece ends.  The measures are continuous except for the degenerate n = 2
+    jump at x = 0; `left_limit` gives the left-hand limit at any x from the
+    piece below it, which is how the continuity check sees that jump;
   * the standalone polynomial blocks of the a/b closed forms carry an
     implicit H(x) factor, inherited from their inverse-transform origin where
     every plain s^{-p} term produces x^{p-1}/(p-1)! H(x).  Without that gate
@@ -61,11 +64,6 @@ class MeasureKind(Enum):
 # ---------------------------------------------------------------------------
 
 
-def _heaviside(arg: int | Fraction, h0: int) -> bool:
-    """H(arg) with H(0) = h0; h0=0 gives the left-limit polynomial instead."""
-    return arg > 0 or (arg == 0 and h0 == 1)
-
-
 def _block(n: int, m: int, u: int, v: int) -> int:
     """C(n-1, m) u^m v^(n-1-m) - C(n-1, m-1) u^(m-1) v^(n-m), sharing one power pair."""
     if m == 0:
@@ -73,7 +71,7 @@ def _block(n: int, m: int, u: int, v: int) -> int:
     return u ** (m - 1) * v ** (n - 1 - m) * (math.comb(n - 1, m) * u - math.comb(n - 1, m - 1) * v)
 
 
-def a_closed(n: int, x, _h0: int = 1) -> Fraction:
+def a_closed(n: int, x) -> Fraction:
     """Measure of the n-cycle with adjacent sums <= 2, exactly.
 
     Supported on [-n, 0]; near x = -n the constraints are slack and the value
@@ -83,16 +81,16 @@ def a_closed(n: int, x, _h0: int = 1) -> Fraction:
         raise DomainError(f"a_closed requires n >= 2, got {n}")
     x = Fraction(x)
     p, q = x.numerator, x.denominator
-    active = [i for i in range(2 - n % 2, n + 1, 2) if _heaviside(p + i * q, _h0)]
+    active = [i for i in range(2 - n % 2, n + 1, 2) if p + i * q >= 0]
     lcm = math.lcm(*active)
     total = 2 * n * sum(lcm // i * _block(n, (n - i) // 2, p - i * q, p + i * q) for i in active)
-    if _heaviside(p, _h0):
+    if p >= 0:
         total -= lcm * 2**n * p ** (n - 1)
         total += lcm * half_binom(n) * p ** (n - 2) * (p - n * q)
     return Fraction(total, 2 * lcm * math.factorial(n - 1) * q ** (n - 1))
 
 
-def b_closed(n: int, x, _h0: int = 1) -> Fraction:
+def b_closed(n: int, x) -> Fraction:
     """Measure of the n-cycle with adjacent sums >= 2, exactly.
 
     Supported on [0, inf); grows like the full simplex density for large x.
@@ -102,16 +100,16 @@ def b_closed(n: int, x, _h0: int = 1) -> Fraction:
     x = Fraction(x)
     p, q = x.numerator, x.denominator
     sign = -1 if n % 2 else 1
-    active = [i for i in range(2 - n % 2, n // 3 + 1, 2) if _heaviside(p - i * q, _h0)]
+    active = [i for i in range(2 - n % 2, n // 3 + 1, 2) if p - i * q >= 0]
     lcm = math.lcm(*active)
     total = 2 * n * sign * sum(lcm // i * _block(n, (n - 3 * i) // 2, p + i * q, p - i * q) for i in active)
-    if _heaviside(p, _h0):
+    if p >= 0:
         total -= lcm * sign * 2**n * p ** (n - 1)
         total += lcm * half_binom(n) * p ** (n - 2) * (3 * p + n * q)
     return Fraction(total, 2 * lcm * math.factorial(n - 1) * q ** (n - 1))
 
 
-def c_closed(n: int, x, _h0: int = 1) -> Fraction:
+def c_closed(n: int, x) -> Fraction:
     """Measure of the (n+1)-variable open chain with free ends, exactly.
 
     Supported on [-3, inf) for even n and [-2, inf) for odd n.
@@ -124,7 +122,7 @@ def c_closed(n: int, x, _h0: int = 1) -> Fraction:
     sign = 1 if n % 2 else -1
     total = 0
     for i in range(n % 2, (n + 2) // 3 + 1, 2):
-        if not _heaviside(p - i * q, _h0):
+        if p - i * q < 0:
             continue
         u, v = p + i * q, p - i * q
         for d, cf in ((1, 1), (0, -2), (-1, 1)):
@@ -132,7 +130,7 @@ def c_closed(n: int, x, _h0: int = 1) -> Fraction:
             if 0 <= m <= n:
                 total += cf * math.comb(n, m) * u**m * v ** (n - m)
     total *= (n + 2) * sign
-    if _heaviside(p, _h0):
+    if p >= 0:
         total += 2 * sign * half_binom(n) * p**n
     return Fraction(total, (n + 2) * math.factorial(n) * q**n)
 
@@ -142,7 +140,7 @@ def c_closed(n: int, x, _h0: int = 1) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def invert_transform(poly: ExpPoly, n_vars: int, x, _h0: int = 1) -> Fraction:
+def invert_transform(poly: ExpPoly, n_vars: int, x) -> Fraction:
     """Evaluate the measure whose scaled transform s^n_vars * L{m}(s) is `poly`.
 
     Termwise: c s^a e^{bs} with a <= n_vars - 1 inverts to
@@ -154,16 +152,16 @@ def invert_transform(poly: ExpPoly, n_vars: int, x, _h0: int = 1) -> Fraction:
         e = n_vars - a - 1
         if e < 0:
             raise DomainError(f"term s^{a} does not invert for {n_vars} variables")
-        if _heaviside(x + b, _h0):
+        if x + b >= 0:
             total += c * (x + b) ** e / math.factorial(e)
     return total
 
 
-def f_closed(n: int, x, _h0: int = 1) -> Fraction:
+def f_closed(n: int, x) -> Fraction:
     """Exact f_n(x) via the transform recursion."""
     if n < 1:
         raise DomainError(f"f_closed requires n >= 1, got {n}")
-    return invert_transform(f_tilde_recursive(n), n, x, _h0)
+    return invert_transform(f_tilde_recursive(n), n, x)
 
 
 _CLOSED = {
@@ -174,8 +172,31 @@ _CLOSED = {
 }
 
 
-def closed_measure(kind: MeasureKind, n: int, x, _h0: int = 1) -> Fraction:
-    return _CLOSED[kind](n, x, _h0)
+def closed_measure(kind: MeasureKind, n: int, x) -> Fraction:
+    return _CLOSED[kind](n, x)
+
+
+def left_limit(kind: MeasureKind, n: int, x) -> Fraction:
+    """The left-hand limit of the measure at x, exactly, from the piece below x.
+
+    Every breakpoint of the four measures is an integer, and on each unit
+    piece (b-1, b) the measure is a polynomial in x of degree at most n:
+    n-1 for f_n, a_n and b_n (n variables) and n for c_n (n+1 variables),
+    since a measure of v variables inverts termwise to powers (x+b)^e H(x+b)
+    with e <= v-1 (see `invert_transform`).  So its (n+1)-th difference
+    vanishes, and with h = (x - ceil(x) + 1)/(n+2)
+
+        P(x) = sum_{k=1..n+1} (-1)^(k+1) C(n+1, k) P(x - k h),
+
+    where every x - k h lies in (ceil(x) - 1, x), inside the piece below x.
+    At an integer b this is h = 1/(n+2); at a non-integer x, where every
+    measure is continuous, it equals closed_measure(kind, n, x).
+    """
+    x = Fraction(x)
+    step = (x - math.ceil(x) + 1) / (n + 2)
+    return sum(
+        (-1) ** (k + 1) * math.comb(n + 1, k) * closed_measure(kind, n, x - k * step) for k in range(1, n + 2)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -206,18 +227,19 @@ def interior_grid(kind: MeasureKind, n: int, points: int = 10) -> list[Fraction]
 def continuity_report(n_max: int = 6) -> Report:
     """Exact two-sided values at every integer piece boundary.
 
-    The inclusive-H evaluation is the right-hand limit and the strict-H
-    evaluation the left-hand limit; equality at a boundary is continuity of
-    the piecewise polynomial there.  The degenerate n = 2 measures genuinely
-    jump at x = 0 (the two cyclic constraints collapse into one), so that
-    single boundary is asserted to jump rather than to match.
+    `closed_measure` at a boundary b is the right-hand limit (H(0) = 1), and
+    `left_limit` reads the left-hand limit off the piece below b without
+    touching any gate; equality is continuity of the piecewise polynomial at
+    b.  The degenerate n = 2 measures genuinely jump at x = 0 (the two cyclic
+    constraints collapse into one), so that single boundary is asserted to
+    jump rather than to match.
     """
     rep = Report("measure_continuity")
     for kind in MeasureKind:
         for n in range(2, n_max + 1):
             for b in piece_boundaries(kind, n):
-                right = closed_measure(kind, n, b, _h0=1)
-                left = closed_measure(kind, n, b, _h0=0)
+                right = closed_measure(kind, n, b)
+                left = left_limit(kind, n, b)
                 genuine_jump = n == 2 and b == 0 and kind is not MeasureKind.C_LINEAR_GE
                 if genuine_jump:
                     rep.add(

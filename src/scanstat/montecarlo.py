@@ -229,7 +229,7 @@ ORACLE_N_MAX = 6
 _ORACLE_CHUNK = 250_000
 
 
-def check_oracle_args(n_max: int, samples: int, seed: int) -> None:
+def _check_oracle_args(n_max: int, samples: int, seed: int) -> None:
     """The one check on the oracle's arguments; the messages name the verify-measures options."""
     if not 2 <= n_max <= ORACLE_N_MAX:
         raise DomainError(f"--n-max must be >= 2 and <= {ORACLE_N_MAX}, got {n_max}")
@@ -271,7 +271,7 @@ def density_oracle(kind: MeasureKind, n: int, xs, samples: int = 10**6, seed: in
     are correlated.  (For F the upper bounds y_i <= 2 follow from the pair
     constraints, since every variable sits in a pair.)
     """
-    check_oracle_args(n, samples, seed)
+    _check_oracle_args(n, samples, seed)
     v = n + 1 if kind is MeasureKind.C_LINEAR_GE else n
     sums = np.asarray([float(x) + v for x in xs])
     if not np.isfinite(sums).all():
@@ -306,7 +306,7 @@ def density_oracle(kind: MeasureKind, n: int, xs, samples: int = 10**6, seed: in
 def oracle_rows(n_max: int = 5, samples: int = 10**6, seed: int = 42, points: int = 10) -> list[dict]:
     """Closed-form vs Monte Carlo comparison rows for every measure family,
     from one draw per (kind, n) with seed + 1000 n."""
-    check_oracle_args(n_max, samples, seed)
+    _check_oracle_args(n_max, samples, seed)
     rows = []
     for kind in MeasureKind:
         for n in range(2, n_max + 1):

@@ -202,6 +202,12 @@ def test_text_report_lines_then_csv(capsys, argv):
         assert sorted(table[0].split(",")) == sorted(rows[0])  # JSON sorts its keys
 
 
+def _src_env() -> dict:
+    """The environment with this checkout's src first on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_exact_commands_load_no_numpy():
     # only the sampling commands import montecarlo, and with it numpy; the
     # benchmark tracer looks measures and genseries up in sys.modules
@@ -214,10 +220,22 @@ def test_exact_commands_load_no_numpy():
         "assert 'scanstat.montecarlo' not in sys.modules\n"
         "assert {'scanstat.measures', 'scanstat.genseries'} <= set(sys.modules)\n"
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_reader_closing_stdout_early_gets_no_traceback():
+    """`scanstat table ... | head -1`: the reader takes one line and closes the pipe."""
+    widths = ",".join(f"{j}/4001" for j in range(1, 4001))  # about 200 kB of CSV, more than a pipe holds
+    argv = [sys.executable, "-m", "scanstat.cli", "table", "--stat", "pc-nm1", "--N", "3", "--w", widths]
+    # under PYTHONUNBUFFERED, stdout drops what a partial write left over instead of raising
+    env = {k: v for k, v in _src_env().items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"kind,N,w,")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (cli.EXIT_PIPE, b"")
 
 
 class TestTable:

@@ -3,8 +3,9 @@
 The reference functions below are the term-by-term Fraction evaluations the
 integer forms in `scanstat.measures` replaced.  Both must return the same
 reduced Fraction at every point: the half-integer grid covers every piece
-boundary and both one-sided limits (`_h0` = 0 and 1), and the random points
-carry numerators and denominators up to about 10^9.
+boundary, and the random points carry numerators and denominators up to about
+10^9.  The references keep their `_h0` switch: with `_h0` = 0 they give the
+left-hand limit, which `measures.left_limit` must match at every piece boundary.
 """
 
 import math
@@ -15,6 +16,7 @@ import pytest
 
 import scanstat.measures as ms
 import scanstat.scanprob as sp
+from scanstat.measures import MeasureKind
 
 
 def binom_ext(n, m):
@@ -100,7 +102,11 @@ def ref_c_closed(n, x, _h0=1):
     return total
 
 
-PAIRS = [(ms.a_closed, ref_a_closed), (ms.b_closed, ref_b_closed), (ms.c_closed, ref_c_closed)]
+PAIRS = [
+    (MeasureKind.A_CYCLIC, ms.a_closed, ref_a_closed),
+    (MeasureKind.B_CYCLIC_GE, ms.b_closed, ref_b_closed),
+    (MeasureKind.C_LINEAR_GE, ms.c_closed, ref_c_closed),
+]
 # the Fraction reference costs about n^4 per n: n = 31..59, 100 and 201 take 20 to 50 s on a
 # 2-CPU host, so they run with `pytest -m slow`, and Tier-1 keeps n = 2..30 and 60
 NS = [n if n <= 30 or n == 60 else pytest.param(n, marks=pytest.mark.slow) for n in [*range(2, 61), 100, 201]]
@@ -120,16 +126,29 @@ def test_closed_forms_bit_identical_to_fraction_reference(n):
     rng = random.Random(n)
     cells = 0
     for x in _points(n, rng):
-        for fast, ref in PAIRS:
-            want = ref(n, x, 1)
-            for h0 in (1, 0):
-                if h0 == 0 and x.denominator == 1:
-                    want = ref(n, x, 0)  # every Heaviside argument is x plus an integer, so h0 acts at integer x only
-                got = fast(n, x, h0)
-                assert type(got) is Fraction
-                assert got == want, (fast.__name__, n, x, h0)
-                cells += 1
-    assert cells == 6 * (8 * n + 12 + 8)
+        for _, fast, ref in PAIRS:
+            got = fast(n, x)
+            assert type(got) is Fraction
+            assert got == ref(n, x), (fast.__name__, n, x)
+            cells += 1
+    assert cells == 3 * (8 * n + 12 + 8)
+
+
+@pytest.mark.parametrize("n", NS)
+def test_left_limit_equals_the_reference_left_body(n):
+    """left_limit equals the `_h0` = 0 reference at every piece boundary.
+
+    Every Heaviside argument is x plus an integer, and each is zero only at a
+    piece boundary, so anywhere else `_h0` changes nothing.
+    """
+    cells = 0
+    for kind, _, ref in PAIRS:
+        for b in ms.piece_boundaries(kind, n):
+            got = ms.left_limit(kind, n, b)
+            assert type(got) is Fraction
+            assert got == ref(n, b, 0), (kind.value, n, b)
+            cells += 1
+    assert cells == (n + 1) + (n // 3 + 1) + ((n + 2) // 3 + 1)
 
 
 @pytest.mark.parametrize("N", [60, 120, 200])

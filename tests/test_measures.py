@@ -97,10 +97,20 @@ class TestContinuity:
     def test_degenerate_n2_jump_is_real(self):
         # the two cyclic constraints coincide at n = 2, so the measure really
         # jumps at x = 0; H(0) = 1 picks the right-hand limit
-        assert ms.a_closed(2, 0, _h0=0) == 2
-        assert ms.a_closed(2, 0, _h0=1) == 0
-        assert ms.b_closed(2, 0, _h0=0) == 0
-        assert ms.b_closed(2, 0, _h0=1) == 2
+        assert ms.left_limit(MeasureKind.A_CYCLIC, 2, 0) == 2
+        assert ms.a_closed(2, 0) == 0
+        assert ms.left_limit(MeasureKind.B_CYCLIC_GE, 2, 0) == 0
+        assert ms.b_closed(2, 0) == 2
+
+    @pytest.mark.parametrize("kind", list(MeasureKind))
+    def test_left_limit_is_the_value_off_the_breakpoints(self, kind):
+        # every breakpoint is an integer, so at any other x both limits are the value
+        for n in range(2, 9):
+            near = [b + d for b in ms.piece_boundaries(kind, n) for d in (F(-1, 7), F(1, 7))]
+            xs = ms.interior_grid(kind, n, 12) + near
+            assert all(x.denominator != 1 for x in xs)
+            for x in xs:
+                assert ms.left_limit(kind, n, x) == ms.closed_measure(kind, n, x), (kind, n, x)
 
     def test_support_report(self):
         assert ms.support_report(6).passed
