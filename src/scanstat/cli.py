@@ -285,6 +285,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    stdout = sys.stdout
+    if isinstance(getattr(stdout, "buffer", None), io.RawIOBase):
+        # unbuffered stdout (python -u, PYTHONUNBUFFERED) writes through to a raw
+        # file, which drops what a short pipe write leaves over; a buffered writer
+        # writes the rest, and raises BrokenPipeError once the reader has gone
+        sys.stdout = open(stdout.fileno(), "w", encoding=stdout.encoding, errors=stdout.errors, closefd=False)
     try:
         code = args.fn(args)
         sys.stdout.flush()
@@ -300,6 +306,8 @@ def main(argv=None) -> int:
     except MemoryError:
         print("error: out of memory for this input", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        sys.stdout = stdout
 
 
 if __name__ == "__main__":

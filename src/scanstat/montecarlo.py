@@ -11,8 +11,9 @@ Confidence intervals are Wilson score intervals, which behave correctly near
 
 The hot loops avoid per-row reductions over short axes: the window minimum
 is a running np.minimum over the columns of the row-sorted block,
-empirical_cdf and the measure oracle count every grid point with one sort
-and searchsorted, and the coverage depth is a count of comparisons rather
+empirical_cdf counts every grid point with one sort and searchsorted, the
+measure oracle counts each grid point by one comparison against a block's
+critical sums, and the coverage depth is a count of comparisons rather
 than a sort of the arc endpoints.  The minimum depth over the circle is
 attained just after an arc end e_j, where it equals #{s_i <= e_j} +
 #{e_i > e_j} - #unwrapped (see min_coverage_depth); that costs O(N^2)
@@ -255,6 +256,75 @@ def _constraint_pairs(kind: MeasureKind, n: int) -> list[tuple[int, int]]:
     return [(i, (i + 1) % n) for i in range(n)]
 
 
+def _variables(kind: MeasureKind, n: int) -> int:
+    """How many variables the measure's simplex slice has: n + 1 for C, n for the rest."""
+    return n + 1 if kind is MeasureKind.C_LINEAR_GE else n
+
+
+def _bounds(cols: np.ndarray, n: int) -> dict[MeasureKind, np.ndarray]:
+    """The pair-sum bound of every measure with cols.shape[0] variables, per column.
+
+    One pass over the adjacent pairs: F's bound is the running max of its n-1
+    chain pairs, A's that max with the wrap pair, B's the running min of all n
+    cyclic pairs, and C's the running min of its interior pairs (+inf, so no
+    constraint, when it has none).
+    """
+    if cols.shape[0] == _variables(MeasureKind.C_LINEAR_GE, n):
+        c_bound = np.full(cols.shape[1], np.inf)
+        for i, j in _constraint_pairs(MeasureKind.C_LINEAR_GE, n):
+            np.minimum(c_bound, cols[i] + cols[j], out=c_bound)
+        return {MeasureKind.C_LINEAR_GE: c_bound}
+    f_bound = np.zeros(cols.shape[1])
+    b_bound = np.full(cols.shape[1], np.inf)
+    for i, j in _constraint_pairs(MeasureKind.F_LINEAR, n):
+        pair = cols[i] + cols[j]
+        np.maximum(f_bound, pair, out=f_bound)
+        np.minimum(b_bound, pair, out=b_bound)
+    wrap = cols[n - 1] + cols[0]
+    np.minimum(b_bound, wrap, out=b_bound)
+    return {MeasureKind.F_LINEAR: f_bound, MeasureKind.A_CYCLIC: np.maximum(f_bound, wrap),
+            MeasureKind.B_CYCLIC_GE: b_bound}
+
+
+def _estimate(hits: int, volume: float, samples: int) -> DensityEstimate:
+    p_safe = min(max(hits / samples, 1.0 / samples), 1.0 - 1.0 / samples)
+    std_error = volume * math.sqrt(p_safe * (1 - p_safe) / samples) if volume else 1.0 / samples
+    return DensityEstimate(value=hits / samples * volume, std_error=std_error, samples=samples)
+
+
+def _oracle(n: int, grids: dict[MeasureKind, list], samples: int, seed: int) -> dict[MeasureKind, list[DensityEstimate]]:
+    """Estimates for every x of every kind in grids (kind -> xs), which must
+    share one variable count, all counted from one draw seeded with seed."""
+    (v,) = {_variables(kind, n) for kind in grids}
+    sums = {kind: np.asarray([float(x) + v for x in xs]) for kind, xs in grids.items()}
+    volumes = {}
+    for kind, s in sums.items():
+        if not np.isfinite(s).all():
+            raise DomainError(f"x must be finite, got {s[~np.isfinite(s)][0]}")
+        try:
+            # S <= 0 leaves an empty slice of volume 0
+            volumes[kind] = [max(t, 0.0) ** (v - 1) / math.factorial(v - 1) for t in s.tolist()]
+        except OverflowError:
+            raise DomainError(f"x={s.max() - v} is too large: the slice volume overflows a float") from None
+
+    def count(rng, m):
+        cols = np.ascontiguousarray(rng.standard_exponential((m, v)).T)
+        total = 2.0 * cols.sum(axis=0)
+        bounds = _bounds(cols, n)
+        hits = []
+        for kind, s in sums.items():
+            critical = total / bounds[kind]
+            if kind in (MeasureKind.F_LINEAR, MeasureKind.A_CYCLIC):
+                hits.extend(np.count_nonzero(critical >= t) for t in s)
+            else:
+                hits.extend(np.count_nonzero(critical <= t) for t in s)
+        return np.asarray(hits)
+
+    hits = iter(_chunked_count(_seeded_rng(seed), samples, count, _ORACLE_CHUNK).tolist())
+    return {kind: [_estimate(next(hits), volume, samples) for volume in kind_volumes]
+            for kind, kind_volumes in volumes.items()}
+
+
 def density_oracle(kind: MeasureKind, n: int, xs, samples: int = 10**6, seed: int = 0) -> list[DensityEstimate]:
     """Monte Carlo estimates of the density-of-sum measure, one per x in xs.
 
@@ -265,65 +335,44 @@ def density_oracle(kind: MeasureKind, n: int, xs, samples: int = 10**6, seed: in
     pairs satisfy y_i + y_j <= 2 (F, A) or >= 2 (B, C).  On the raw draws
     that reads S <= 2 sum(e) / max(e_i + e_j) (F, A) or S >= 2 sum(e) /
     min(e_i + e_j) (B, C); C at n = 2 has no pair, so every point is a hit.
-    So one draw serves every x: the critical sums of a block are sorted once
-    and each S counted by searchsorted.  No smoothing window enters, so each
+    So one draw serves every x: each S is counted by one comparison against
+    the critical sums of a block.  No smoothing window enters, so each
     estimate is unbiased, and the estimates of one call share the draw and
     are correlated.  (For F the upper bounds y_i <= 2 follow from the pair
     constraints, since every variable sits in a pair.)
     """
     _check_oracle_args(n, samples, seed)
-    v = n + 1 if kind is MeasureKind.C_LINEAR_GE else n
-    sums = np.asarray([float(x) + v for x in xs])
-    if not np.isfinite(sums).all():
-        raise DomainError(f"x must be finite, got {sums[~np.isfinite(sums)][0]}")
-    try:
-        # S <= 0 leaves an empty slice of volume 0
-        volumes = [max(s, 0.0) ** (v - 1) / math.factorial(v - 1) for s in sums.tolist()]
-    except OverflowError:
-        raise DomainError(f"x={sums.max() - v} is too large: the slice volume overflows a float") from None
-    below = kind in (MeasureKind.F_LINEAR, MeasureKind.A_CYCLIC)
-    extreme = np.maximum if below else np.minimum
-
-    def count(rng, m):
-        cols = np.ascontiguousarray(rng.standard_exponential((m, v)).T)
-        bound = np.full(m, 0.0 if below else np.inf)
-        for i, j in _constraint_pairs(kind, n):
-            extreme(bound, cols[i] + cols[j], out=bound)
-        critical = np.sort(2.0 * cols.sum(axis=0) / bound)
-        if below:
-            return m - np.searchsorted(critical, sums, side="left")
-        return np.searchsorted(critical, sums, side="right")
-
-    hits = _chunked_count(_seeded_rng(seed), samples, count, _ORACLE_CHUNK)
-    out = []
-    for c, volume in zip(hits.tolist(), volumes):
-        p_safe = min(max(c / samples, 1.0 / samples), 1.0 - 1.0 / samples)
-        std_error = volume * math.sqrt(p_safe * (1 - p_safe) / samples) if volume else 1.0 / samples
-        out.append(DensityEstimate(value=c / samples * volume, std_error=std_error, samples=samples))
-    return out
+    return _oracle(n, {kind: xs}, samples, seed)[kind]
 
 
 def oracle_rows(n_max: int = 5, samples: int = 10**6, seed: int = 42, points: int = 10) -> list[dict]:
     """Closed-form vs Monte Carlo comparison rows for every measure family,
-    from one draw per (kind, n) with seed + 1000 n."""
+    from one draw per n and variable count with seed + 1000 n: F, A and B
+    share the n-variable draw, so their estimates at one n are correlated,
+    and C has the (n+1)-variable one."""
     _check_oracle_args(n_max, samples, seed)
+    grids = {(kind, n): interior_grid(kind, n, points) for kind in MeasureKind for n in range(2, n_max + 1)}
+    estimates = {}
+    for n in range(2, n_max + 1):
+        for v in (n, n + 1):
+            shared = {kind: grids[kind, n] for kind in MeasureKind if _variables(kind, n) == v}
+            for kind, ests in _oracle(n, shared, samples, seed + 1000 * n).items():
+                estimates[kind, n] = ests
     rows = []
-    for kind in MeasureKind:
-        for n in range(2, n_max + 1):
-            xs = interior_grid(kind, n, points)
-            for x, est in zip(xs, density_oracle(kind, n, xs, samples, seed + 1000 * n)):
-                closed = float(closed_measure(kind, n, x))
-                rows.append(
-                    {
-                        "kind": kind.value,
-                        "n": n,
-                        "x": str(x),
-                        "closed": closed,
-                        "oracle": est.value,
-                        "std_err": est.std_error,
-                        "z": (est.value - closed) / est.std_error,
-                    }
-                )
+    for (kind, n), xs in grids.items():
+        for x, est in zip(xs, estimates[kind, n]):
+            closed = float(closed_measure(kind, n, x))
+            rows.append(
+                {
+                    "kind": kind.value,
+                    "n": n,
+                    "x": str(x),
+                    "closed": closed,
+                    "oracle": est.value,
+                    "std_err": est.std_error,
+                    "z": (est.value - closed) / est.std_error,
+                }
+            )
     return rows
 
 

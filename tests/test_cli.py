@@ -228,14 +228,15 @@ def test_reader_closing_stdout_early_gets_no_traceback():
     """`scanstat table ... | head -1`: the reader takes one line and closes the pipe."""
     widths = ",".join(f"{j}/4001" for j in range(1, 4001))  # about 200 kB of CSV, more than a pipe holds
     argv = [sys.executable, "-m", "scanstat.cli", "table", "--stat", "pc-nm1", "--N", "3", "--w", widths]
-    # under PYTHONUNBUFFERED, stdout drops what a partial write left over instead of raising
-    env = {k: v for k, v in _src_env().items() if k != "PYTHONUNBUFFERED"}
-    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    assert proc.stdout.readline().startswith(b"kind,N,w,")
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert (proc.wait(), err) == (cli.EXIT_PIPE, b"")
+    buffered = {k: v for k, v in _src_env().items() if k != "PYTHONUNBUFFERED"}
+    # unbuffered, stdout writes straight to the pipe, where a write can be short
+    for env in (buffered, {**buffered, "PYTHONUNBUFFERED": "1"}):
+        proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline().startswith(b"kind,N,w,")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(), err) == (cli.EXIT_PIPE, b""), env.get("PYTHONUNBUFFERED")
 
 
 class TestTable:
@@ -358,6 +359,7 @@ GOLDEN_STDOUT = [
     (("table", "--stat", "p-3", "--N", "3,5,8,20", "--w", "1/10,1/5,1/3,1/2,9/10"), "f62cd4240ec7c3ee"),
     (("verify-series", "--order", "10", "--format", "json"), "0050214ddd9a280a"),
     (("cross-check", "--format", "json"), "4b4185fd8c061f74"),
+    (("verify-measures", "--samples", "100000", "--format", "json"), "b614eafd0133efc9"),
 ]
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -257,7 +258,7 @@ def test_oracle_rows_structure():
 
 
 def test_rows_depend_only_on_their_own_kind_and_n():
-    # one draw per (kind, n), seeded by n alone: a larger n_max adds rows and changes none
+    # one draw per n and variable count, seeded by n alone: a larger n_max adds rows and changes none
     small = mc.oracle_rows(n_max=3, samples=100_000, seed=9)
     large = mc.oracle_rows(n_max=5, samples=100_000, seed=9)
     assert small == [r for r in large if r["n"] <= 3]
@@ -271,7 +272,7 @@ def test_oracle_rows_checks_its_arguments_before_drawing(monkeypatch, args):
         mc.oracle_rows(*args)
 
 
-def test_verify_measures_draws_once_per_kind_and_n(monkeypatch, capsys):
+def test_verify_measures_draws_once_per_n_and_variable_count(monkeypatch, capsys):
     from scanstat import cli
 
     calls = []
@@ -279,4 +280,17 @@ def test_verify_measures_draws_once_per_kind_and_n(monkeypatch, capsys):
     monkeypatch.setattr(mc, "_chunked_count", lambda *a: calls.append(a) or real(*a))
     assert cli.main(["verify-measures", "--n-max", "5", "--samples", "100000", "--format", "json"]) == 0
     capsys.readouterr()
-    assert len(calls) == len(MeasureKind) * 4  # n = 2..5
+    # n = 2..5, each with an n-variable draw for F, A and B and an (n+1)-variable one for C
+    assert len(calls) == 2 * 4
+
+
+def test_oracle_memory_stays_within_one_block():
+    # numpy reports its buffers to tracemalloc; a design that keeps its draw,
+    # column or pair buffers across blocks peaks near 43 MiB here
+    tracemalloc.start()
+    try:
+        mc.oracle_rows(5, 250_000, seed=42)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 25 * 2**20
