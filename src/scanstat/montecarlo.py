@@ -9,6 +9,12 @@ the draw in blocks of rows, so no estimate depends on the block size.
 Confidence intervals are Wilson score intervals, which behave correctly near
 0 and 1 where the saturation tests live.
 
+The measure oracle makes one draw per call, however many (kind, n) cells it
+counts: each sample is ORACLE_N_MAX + 1 = 7 standard exponentials, even when
+only n = 2 is asked for, and a cell with v variables reads the first v.  So
+every estimate of one call is correlated with every other, and a cell's
+estimates do not depend on which other cells were asked for.
+
 The hot loops avoid per-row reductions over short axes: the window minimum
 is a running np.minimum over the columns of the row-sorted block,
 empirical_cdf counts every grid point with one sort and searchsorted, the
@@ -224,10 +230,15 @@ def coverage_dual(N: int, k: int, w: float, samples: int, seed: int = 0) -> CdfE
 _MIN_ORACLE_SAMPLES = 10**5
 # largest n the measure oracle samples
 ORACLE_N_MAX = 6
-# rows per block of the oracle's draw, a memory cap only.  Freeing blocks of up
-# to 14 MB raises glibc's mmap threshold, which keeps the window samplers' small
-# blocks on the heap; after 4096-row oracle blocks coverage_dual runs 1.5x slower.
-_ORACLE_CHUNK = 250_000
+# rows per block of the oracle's draw.  A block and its transposed copy are
+# live together, so 2^17 rows of ORACLE_N_MAX + 1 doubles peak near 14 MiB.
+# Freeing a 7 MB block also raises glibc's mmap threshold, which keeps the
+# window samplers' 4096-row temporaries on the heap: run after verify-measures
+# in one process, simulate at N = 8 and coverage_dual take about 60 and 160 ms
+# with single-digit minor faults, against about 100 and 300 ms with 27 000 and
+# 88 000 faults after 4096-row oracle blocks.  Blocks of 32 768 rows still keep
+# them on the heap; 8192-row blocks do not.
+_ORACLE_CHUNK = 131_072
 
 
 def _check_oracle_args(n_max: int, samples: int, seed: int) -> None:
@@ -292,37 +303,51 @@ def _estimate(hits: int, volume: float, samples: int) -> DensityEstimate:
     return DensityEstimate(value=hits / samples * volume, std_error=std_error, samples=samples)
 
 
-def _oracle(n: int, grids: dict[MeasureKind, list], samples: int, seed: int) -> dict[MeasureKind, list[DensityEstimate]]:
-    """Estimates for every x of every kind in grids (kind -> xs), which must
-    share one variable count, all counted from one draw seeded with seed."""
-    (v,) = {_variables(kind, n) for kind in grids}
-    sums = {kind: np.asarray([float(x) + v for x in xs]) for kind, xs in grids.items()}
-    volumes = {}
+def _hits(cols: np.ndarray, n: int, sums: dict[MeasureKind, np.ndarray]) -> list[int]:
+    """How many columns of cols are hits at each slice sum of each kind in sums,
+    every kind having cols.shape[0] variables; nothing outlives the call."""
+    total = 2.0 * cols.sum(axis=0)
+    bounds = _bounds(cols, n)
+    hits = []
     for kind, s in sums.items():
+        critical = total / bounds[kind]
+        if kind in (MeasureKind.F_LINEAR, MeasureKind.A_CYCLIC):
+            hits.extend(np.count_nonzero(critical >= t) for t in s)
+        else:
+            hits.extend(np.count_nonzero(critical <= t) for t in s)
+    return hits
+
+
+def _oracle(grids: dict[tuple[MeasureKind, int], list], samples: int, seed: int) -> dict[tuple[MeasureKind, int], list[DensityEstimate]]:
+    """Estimates for every x of every (kind, n) cell in grids ((kind, n) -> xs),
+    all counted from one draw seeded with seed.
+
+    Every sample is ORACLE_N_MAX + 1 standard exponentials, whatever cells
+    are asked for, and a cell with v variables reads the first v of them, so
+    a cell's estimates depend only on (kind, n, xs, samples, seed) and every
+    cell of one call shares the draw.
+    """
+    cells = {}  # (n, v) -> kind -> slice sums S = x + v, so each (n, v) builds its bounds once
+    volumes = {}
+    for (kind, n), xs in grids.items():
+        v = _variables(kind, n)
+        s = np.asarray([float(x) + v for x in xs])
         if not np.isfinite(s).all():
             raise DomainError(f"x must be finite, got {s[~np.isfinite(s)][0]}")
         try:
             # S <= 0 leaves an empty slice of volume 0
-            volumes[kind] = [max(t, 0.0) ** (v - 1) / math.factorial(v - 1) for t in s.tolist()]
+            volumes[kind, n] = [max(t, 0.0) ** (v - 1) / math.factorial(v - 1) for t in s.tolist()]
         except OverflowError:
             raise DomainError(f"x={s.max() - v} is too large: the slice volume overflows a float") from None
+        cells.setdefault((n, v), {})[kind] = s
 
     def count(rng, m):
-        cols = np.ascontiguousarray(rng.standard_exponential((m, v)).T)
-        total = 2.0 * cols.sum(axis=0)
-        bounds = _bounds(cols, n)
-        hits = []
-        for kind, s in sums.items():
-            critical = total / bounds[kind]
-            if kind in (MeasureKind.F_LINEAR, MeasureKind.A_CYCLIC):
-                hits.extend(np.count_nonzero(critical >= t) for t in s)
-            else:
-                hits.extend(np.count_nonzero(critical <= t) for t in s)
-        return np.asarray(hits)
+        cols = np.ascontiguousarray(rng.standard_exponential((m, ORACLE_N_MAX + 1)).T)
+        return np.asarray([h for (n, v), sums in cells.items() for h in _hits(cols[:v], n, sums)])
 
     hits = iter(_chunked_count(_seeded_rng(seed), samples, count, _ORACLE_CHUNK).tolist())
-    return {kind: [_estimate(next(hits), volume, samples) for volume in kind_volumes]
-            for kind, kind_volumes in volumes.items()}
+    return {(kind, n): [_estimate(next(hits), volume, samples) for volume in volumes[kind, n]]
+            for (n, _), sums in cells.items() for kind in sums}
 
 
 def density_oracle(kind: MeasureKind, n: int, xs, samples: int = 10**6, seed: int = 0) -> list[DensityEstimate]:
@@ -340,24 +365,27 @@ def density_oracle(kind: MeasureKind, n: int, xs, samples: int = 10**6, seed: in
     estimate is unbiased, and the estimates of one call share the draw and
     are correlated.  (For F the upper bounds y_i <= 2 follow from the pair
     constraints, since every variable sits in a pair.)
+
+    This is the one-cell case of oracle_rows' draw: each sample is still
+    ORACLE_N_MAX + 1 exponentials, of which the cell reads the first v, so
+    the estimates equal that cell's oracle_rows estimates at the same seed.
     """
     _check_oracle_args(n, samples, seed)
-    return _oracle(n, {kind: xs}, samples, seed)[kind]
+    return _oracle({(kind, n): xs}, samples, seed)[kind, n]
 
 
 def oracle_rows(n_max: int = 5, samples: int = 10**6, seed: int = 42, points: int = 10) -> list[dict]:
-    """Closed-form vs Monte Carlo comparison rows for every measure family,
-    from one draw per n and variable count with seed + 1000 n: F, A and B
-    share the n-variable draw, so their estimates at one n are correlated,
-    and C has the (n+1)-variable one."""
+    """Closed-form vs Monte Carlo comparison rows for every measure family.
+
+    Every (kind, n) cell is counted from one draw seeded with seed: each
+    sample is ORACLE_N_MAX + 1 exponentials, even at n_max = 2, and a cell
+    with v variables reads the first v.  So every row of one call is
+    correlated with every other, and a larger n_max adds rows and changes
+    none.
+    """
     _check_oracle_args(n_max, samples, seed)
     grids = {(kind, n): interior_grid(kind, n, points) for kind in MeasureKind for n in range(2, n_max + 1)}
-    estimates = {}
-    for n in range(2, n_max + 1):
-        for v in (n, n + 1):
-            shared = {kind: grids[kind, n] for kind in MeasureKind if _variables(kind, n) == v}
-            for kind, ests in _oracle(n, shared, samples, seed + 1000 * n).items():
-                estimates[kind, n] = ests
+    estimates = _oracle(grids, samples, seed)
     rows = []
     for (kind, n), xs in grids.items():
         for x, est in zip(xs, estimates[kind, n]):

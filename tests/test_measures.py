@@ -179,13 +179,14 @@ class TestDensityOracle:
     @pytest.mark.parametrize("n", [2, 5])
     @pytest.mark.parametrize("kind", list(MeasureKind))
     def test_estimates_ignore_block_size(self, monkeypatch, kind, n):
-        # two blocks at the default size, the second partial; 259 at 1000 rows
+        # two blocks at the default size, the second partial; 140 at 1000 rows
         samples = mc._ORACLE_CHUNK + 8_193
         xs = ms.interior_grid(kind, n, 3)
         v = n + 1 if kind is MeasureKind.C_LINEAR_GE else n
-        # reference: every point's pair constraints read directly off one
-        # monolithic (samples, v) draw from the samplers' seeded generator
-        e = mc._seeded_rng(7).standard_exponential((samples, v))
+        # reference: every point's pair constraints read directly off the first
+        # v columns of one monolithic (samples, ORACLE_N_MAX + 1) draw from the
+        # samplers' seeded generator
+        e = mc._seeded_rng(7).standard_exponential((samples, mc.ORACLE_N_MAX + 1))[:, :v]
         expected = []
         for x in xs:
             total_sum = float(x) + v
@@ -258,7 +259,7 @@ def test_oracle_rows_structure():
 
 
 def test_rows_depend_only_on_their_own_kind_and_n():
-    # one draw per n and variable count, seeded by n alone: a larger n_max adds rows and changes none
+    # one draw of ORACLE_N_MAX + 1 columns whatever n_max is: a larger n_max adds rows and changes none
     small = mc.oracle_rows(n_max=3, samples=100_000, seed=9)
     large = mc.oracle_rows(n_max=5, samples=100_000, seed=9)
     assert small == [r for r in large if r["n"] <= 3]
@@ -272,7 +273,7 @@ def test_oracle_rows_checks_its_arguments_before_drawing(monkeypatch, args):
         mc.oracle_rows(*args)
 
 
-def test_verify_measures_draws_once_per_n_and_variable_count(monkeypatch, capsys):
+def test_verify_measures_draws_once(monkeypatch, capsys):
     from scanstat import cli
 
     calls = []
@@ -280,8 +281,36 @@ def test_verify_measures_draws_once_per_n_and_variable_count(monkeypatch, capsys
     monkeypatch.setattr(mc, "_chunked_count", lambda *a: calls.append(a) or real(*a))
     assert cli.main(["verify-measures", "--n-max", "5", "--samples", "100000", "--format", "json"]) == 0
     capsys.readouterr()
-    # n = 2..5, each with an n-variable draw for F, A and B and an (n+1)-variable one for C
-    assert len(calls) == 2 * 4
+    # every (kind, n) cell reads the first v columns of one draw
+    assert len(calls) == 1
+
+
+def test_rows_ignore_block_size(monkeypatch):
+    # two blocks at the default size, the second partial; 140 at 1000 rows
+    samples = mc._ORACLE_CHUNK + 8_193
+    default = mc.oracle_rows(5, samples, seed=7)
+    monkeypatch.setattr(mc, "_ORACLE_CHUNK", 1000)
+    assert mc.oracle_rows(5, samples, seed=7) == default
+
+
+@pytest.mark.parametrize("kind, n", [(MeasureKind.C_LINEAR_GE, 5), (MeasureKind.B_CYCLIC_GE, 3)], ids=["c5", "b3"])
+def test_gate_fails_on_one_cell_scaled_by_one_percent(monkeypatch, kind, n):
+    # negative control: every row shares one draw, so the gate must still single
+    # out one wrong cell; a row whose hit fraction is 0 or 1 would trip on any
+    # change, so the cell is one whose fraction lies strictly inside (0, 1)
+    x = ms.interior_grid(kind, n, 10)[4]
+    v = mc._variables(kind, n)
+    fraction = ms.closed_measure(kind, n, x) / ((x + v) ** (v - 1) / math.factorial(v - 1))
+    assert 0.1 < fraction < 0.9
+    real = mc.closed_measure
+
+    def scaled(k, m, y):
+        return real(k, m, y) * F(101, 100) if (k, m, y) == (kind, n, x) else real(k, m, y)
+
+    monkeypatch.setattr(mc, "closed_measure", scaled)
+    report, rows = mc.oracle_report(5, 10**6, seed=42)
+    assert not report.passed
+    assert [(r["kind"], r["n"], r["x"]) for r in rows if abs(r["z"]) > 4.0] == [(kind.value, n, str(x))]
 
 
 def test_oracle_memory_stays_within_one_block():

@@ -162,7 +162,7 @@ class TestWilson:
         lambda: mc.coverage_dual(5, 4, 0.5, 1_000, seed=-1),
         lambda: mc.density_oracle(MeasureKind.A_CYCLIC, 2, [-1.0], samples=100_000, seed=-1),
         lambda: mc.oracle_report(seed=-3000),
-        # the oracle draws offset the seed by 1000 n, so -1 must fail before that
+        # the smallest negative seed fails too, not only one far below zero
         lambda: mc.oracle_report(seed=-1),
     ],
     ids=["empirical_cdf", "coverage_dual", "density_oracle", "oracle_report_-3000", "oracle_report_-1"],
