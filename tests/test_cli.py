@@ -360,11 +360,27 @@ GOLDEN_STDOUT = [
     (("verify-series", "--order", "10", "--format", "json"), "0050214ddd9a280a"),
     (("cross-check", "--format", "json"), "4b4185fd8c061f74"),
     (("verify-measures", "--samples", "100000", "--format", "json"), "a32bd367a534d8d4"),
+    # the two commands of the benchmark's verify-exact pass
+    (("verify-series", "--order", "16", "--format", "json"), "2ca22bcdcc684518"),
+    (("cross-check", "--n-max", "40", "--format", "json"), "0c7877e223dd3169"),
 ]
 
 
-@pytest.mark.parametrize("argv, prefix", GOLDEN_STDOUT, ids=[argv[0] for argv, _ in GOLDEN_STDOUT])
+def _golden_ids():
+    """A command's first pin is named by the command, a later one adds its first option."""
+    ids = []
+    for argv, _ in GOLDEN_STDOUT:
+        ids.append(argv[0] if argv[0] not in ids else f"{argv[0]}{argv[1][1:]}-{argv[2]}")
+    return ids
+
+
+@pytest.mark.parametrize("argv, prefix", GOLDEN_STDOUT, ids=_golden_ids())
 def test_golden_stdout(capsys, argv, prefix):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == prefix
+
+
+@pytest.mark.slow
+def test_golden_stdout_verify_series_order_30(capsys):
+    test_golden_stdout(capsys, ("verify-series", "--order", "30", "--format", "json"), "57a5e343cd341ba6")
