@@ -1,16 +1,19 @@
 """Exact ring of exponential polynomials: finite sums c * s^a * exp(b*s).
 
 A value is a map {(a, b): c} with a >= 0 an integer power of s, b an integer
-exponent of exp(s), and c a nonzero Fraction.  The empty map is zero.  The
-ring is closed under addition, multiplication (exponents add), d/ds, and
-definite integration from 0 to s, which is everything the transform-domain
-machinery needs.  Equality of canonical forms is semantic equality, so all
-symbolic identity checks reduce to dictionary comparison.
+exponent of exp(s), and c a nonzero rational.  The map is held as int
+numerators over one positive denominator, {(a, b): n} / d, in canonical form:
+no zero numerator, gcd(d, every n) = 1, and zero is {} over 1.  Equal values
+so have equal numerator maps and denominators, all symbolic identity checks
+reduce to dictionary comparison, and each ring operation runs on ints and
+reduces by one gcd.  The ring is closed under addition, multiplication
+(exponents add), d/ds, and definite integration from 0 to s, which is
+everything the transform-domain machinery needs.
 
 Values are immutable: every operation returns a fresh ExpPoly.  The public
-constructor validates and coerces its input; the ring operations build their
-results through the trusted `_from_terms`, whose keys are already int pairs
-and whose coefficients are already Fractions, so it only drops zeros.
+constructor validates and coerces its input (Fractions appear only there, in
+`terms` and in `at_zero`); the ring operations build their results through the
+trusted `_of`, whose keys are already int pairs and whose numerators are ints.
 """
 
 from __future__ import annotations
@@ -22,24 +25,28 @@ from .exactnum import DomainError
 
 
 class ExpPoly:
-    __slots__ = ("_terms",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, terms: dict | None = None):
-        clean = {}
-        if terms:
-            for (a, b), c in terms.items():
-                if a < 0:
-                    raise DomainError(f"negative power of s: {a}")
-                c = Fraction(c)
-                if c:
-                    clean[(int(a), int(b))] = clean.get((int(a), int(b)), Fraction(0)) + c
-        self._terms = {k: c for k, c in clean.items() if c}
+        clean: dict = {}
+        for (a, b), c in (terms or {}).items():
+            if a < 0:
+                raise DomainError(f"negative power of s: {a}")
+            key = (int(a), int(b))
+            clean[key] = clean.get(key, 0) + Fraction(c)
+        den = math.lcm(*(c.denominator for c in clean.values()))
+        built = ExpPoly._of({k: c.numerator * (den // c.denominator) for k, c in clean.items()}, den)
+        self._num, self._den = built._num, built._den
 
     @classmethod
-    def _from_terms(cls, terms: dict) -> "ExpPoly":
-        """Wrap terms the ring operations built (int-pair keys, Fraction values), dropping zeros."""
+    def _of(cls, num: dict, den: int = 1) -> "ExpPoly":
+        """Wrap int numerators over a positive denominator: zeros dropped, one gcd taken out."""
+        if not all(num.values()):
+            num = {k: c for k, c in num.items() if c}
+        if (g := math.gcd(den, *num.values())) != 1:
+            num, den = {k: c // g for k, c in num.items()}, den // g
         self = object.__new__(cls)
-        self._terms = {k: c for k, c in terms.items() if c}
+        self._num, self._den = num, den
         return self
 
     # -- constructors ------------------------------------------------------
@@ -54,7 +61,8 @@ class ExpPoly:
 
     @classmethod
     def const(cls, c) -> "ExpPoly":
-        return cls({(0, 0): Fraction(c)})
+        c = Fraction(c)
+        return cls._of({(0, 0): c.numerator}, c.denominator)
 
     @classmethod
     def term(cls, c, a: int = 0, b: int = 0) -> "ExpPoly":
@@ -73,19 +81,19 @@ class ExpPoly:
 
     @property
     def terms(self) -> dict:
-        return dict(self._terms)
+        return {k: Fraction(c, self._den) for k, c in self._num.items()}
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
     def __eq__(self, other) -> bool:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((frozenset(self._num.items()), self._den))
 
     # -- ring operations ---------------------------------------------------
 
@@ -93,15 +101,20 @@ class ExpPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            out[key] = out[key] + c if key in out else c
-        return ExpPoly._from_terms(out)
+        d1, d2 = self._den, other._den
+        if d1 == d2:  # a shared denominator: no cross-multiplication
+            out, scale, den = dict(self._num), 1, d1
+        else:
+            out, scale, den = {k: c * d2 for k, c in self._num.items()}, d1, d1 * d2
+        get = out.get
+        for key, c in other._num.items():
+            out[key] = get(key, 0) + c * scale
+        return ExpPoly._of(out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ExpPoly":
-        return ExpPoly._from_terms({k: -c for k, c in self._terms.items()})
+        return ExpPoly._of({k: -c for k, c in self._num.items()}, self._den)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -120,36 +133,37 @@ class ExpPoly:
         if other is NotImplemented:
             return NotImplemented
         out: dict = {}
-        for (a1, b1), c1 in self._terms.items():
-            for (a2, b2), c2 in other._terms.items():
+        get = out.get
+        right = list(other._num.items())
+        for (a1, b1), c1 in self._num.items():
+            for (a2, b2), c2 in right:
                 key = (a1 + a2, b1 + b2)
-                out[key] = out[key] + c1 * c2 if key in out else c1 * c2
-        return ExpPoly._from_terms(out)
+                out[key] = get(key, 0) + c1 * c2
+        return ExpPoly._of(out, self._den * other._den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "ExpPoly":
         """Multiplicative inverse; defined only for unit terms c * exp(b*s)."""
-        if len(self._terms) != 1:
+        if len(self._num) != 1:
             raise DomainError(f"not invertible in the ring: {self!r}")
-        (a, b), c = next(iter(self._terms.items()))
+        (a, b), c = next(iter(self._num.items()))
         if a != 0:
             raise DomainError(f"not invertible in the ring: {self!r}")
-        return ExpPoly._from_terms({(0, -b): 1 / c})
+        return ExpPoly._of({(0, -b): self._den if c > 0 else -self._den}, abs(c))
 
     # -- calculus ----------------------------------------------------------
 
     def diff_s(self) -> "ExpPoly":
         """Exact d/ds: c*s^a*e^{bs} -> c*a*s^{a-1}e^{bs} + c*b*s^a*e^{bs}."""
         out: dict = {}
-        for (a, b), c in self._terms.items():
+        for (a, b), c in self._num.items():
             if a > 0:
                 key = (a - 1, b)
-                out[key] = out[key] + c * a if key in out else c * a
+                out[key] = out.get(key, 0) + c * a
             if b != 0:
-                key = (a, b)
-                out[key] = out[key] + c * b if key in out else c * b
-        return ExpPoly._from_terms(out)
+                out[(a, b)] = out.get((a, b), 0) + c * b
+        return ExpPoly._of(out, self._den)
 
     def integrate_0_to_s(self) -> "ExpPoly":
         """Exact definite integral from 0 to s (vanishes at s = 0).
@@ -161,44 +175,44 @@ class ExpPoly:
                 - (-1)^a a! / b^(a+1),
         the trailing constant being the parts formula evaluated at 0.
         """
+        # one common multiple m of every divisor below keeps the numerators integral
+        m = math.lcm(*(abs(b) ** (a + 1) if b else a + 1 for a, b in self._num))
         out: dict = {}
-
-        def add(a, b, c):
-            key = (a, b)
-            out[key] = out[key] + c if key in out else c
-
-        for (a, b), c in self._terms.items():
+        get = out.get
+        for (a, b), c in self._num.items():
             if b == 0:
-                add(a + 1, 0, c / (a + 1))
+                out[(a + 1, 0)] = get((a + 1, 0), 0) + c * (m // (a + 1))
                 continue
+            t = c * m // b  # the j = 0 term, times m
             for j in range(a + 1):
-                coeff = Fraction((-1) ** j * math.factorial(a), math.factorial(a - j))
-                add(a - j, b, c * coeff / Fraction(b) ** (j + 1))
-            const = Fraction((-1) ** a * math.factorial(a)) / Fraction(b) ** (a + 1)
-            add(0, 0, -c * const)
-        return ExpPoly._from_terms(out)
+                if j:
+                    t = -t * (a - j + 1) // b
+                out[(a - j, b)] = get((a - j, b), 0) + t
+            out[(0, 0)] = get((0, 0), 0) - t
+        return ExpPoly._of(out, self._den * m)
 
     # -- evaluation --------------------------------------------------------
 
     def at_zero(self) -> Fraction:
         """Exact value at s = 0 (only (a=0, b) keys survive)."""
-        return sum((c for (a, _b), c in self._terms.items() if a == 0), Fraction(0))
+        return Fraction(sum(c for (a, _b), c in self._num.items() if a == 0), self._den)
 
     def eval_float(self, s0: float) -> float:
         """Numeric value at a real point; OverflowError propagates."""
         total = 0.0
-        for (a, b), c in self._terms.items():
-            total += float(c) * s0**a * math.exp(b * s0)
+        for (a, b), c in self._num.items():
+            total += c / self._den * s0**a * math.exp(b * s0)
         return total
 
     # -- rendering ---------------------------------------------------------
 
     def __repr__(self) -> str:
-        if not self._terms:
+        terms = self.terms
+        if not terms:
             return "0"
         parts = []
-        for (a, b) in sorted(self._terms, key=lambda k: (k[1], k[0])):
-            c = self._terms[(a, b)]
+        for (a, b) in sorted(terms, key=lambda k: (k[1], k[0])):
+            c = terms[(a, b)]
             factors = []
             if a == 0 and b == 0:
                 factors.append(str(c))

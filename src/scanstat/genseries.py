@@ -81,47 +81,62 @@ def _per_order(builder):
 # ---------------------------------------------------------------------------
 
 
-def _zero_like(c):
-    return c * 0
-
-
-def _invert_coef(c):
+def _split(c) -> tuple:
+    """A coefficient as (numerator, denominator): p/q for a rational, c/1 for an ExpPoly."""
     if isinstance(c, ExpPoly):
-        return c.inverse()
-    if c == 0:
-        raise DomainError("division by a series with zero constant term")
-    return 1 / Fraction(c)
+        return c, 1
+    c = Fraction(c)
+    return c.numerator, c.denominator
 
 
 class TruncSeries:
     """Power series in t truncated at a fixed order, exact coefficients.
 
-    Coefficients are Fractions or ExpPolys (never mixed within one series),
-    held in a tuple so a memoised series cannot be changed in place.
+    Coefficients are rationals or ExpPolys (never mixed within one series),
+    held as numerators over one positive int denominator: ints with gcd 1 with
+    it, which products and quotients convolve and reduce once per result, or
+    ExpPolys over 1.  One convolution and one division serve both rings, and
+    Fractions appear only at the edges (`coef`, `coefs`, the constructor).
+    The numerators sit in a tuple so a memoised series cannot be changed in place.
     Arithmetic truncates results to the smaller operand order; nothing beyond
     `order` is ever read or trusted.
     """
 
-    __slots__ = ("coefs",)
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, coefs):
-        self.coefs = tuple(coefs)
-        if not self.coefs:
+        parts = [_split(c) for c in coefs]
+        if not parts:
             raise ValueError("series needs at least the constant coefficient")
+        den = math.lcm(*(d for _, d in parts))
+        built = TruncSeries._of([n if d == den else n * (den // d) for n, d in parts], den)
+        self._nums, self._den = built._nums, built._den
+
+    @classmethod
+    def _of(cls, nums, den: int = 1) -> "TruncSeries":
+        """Wrap the numerators an operation built over a positive denominator, reduced by one gcd."""
+        if den != 1 and (g := math.gcd(den, *nums)) != 1:
+            nums, den = [c // g for c in nums], den // g
+        self = object.__new__(cls)
+        self._nums, self._den = tuple(nums), den
+        return self
 
     @property
     def order(self) -> int:
-        return len(self.coefs) - 1
+        return len(self._nums) - 1
+
+    @property
+    def coefs(self) -> tuple:
+        """Fractions for a rational series; an ExpPoly series' numerators, over 1, as they are."""
+        return tuple(Fraction(c, self._den) if isinstance(c, int) else c for c in self._nums)
 
     @classmethod
     def constant(cls, c, order: int) -> "TruncSeries":
-        z = _zero_like(c)
-        return cls([c] + [z] * order)
+        return cls([c] + [c * 0] * order)
 
     @classmethod
     def t_power(cls, k: int, order: int, c=Fraction(1)) -> "TruncSeries":
-        z = _zero_like(c)
-        coefs = [z] * (order + 1)
+        coefs = [c * 0] * (order + 1)
         if k <= order:
             coefs[k] = c
         return cls(coefs)
@@ -134,39 +149,40 @@ class TruncSeries:
     def truncate(self, order: int) -> "TruncSeries":
         if order > self.order:
             raise ValueError(f"cannot extend truncation {self.order} to {order}")
-        return TruncSeries(self.coefs[: order + 1])
+        return TruncSeries._of(self._nums[: order + 1], self._den)
 
     def map(self, fn) -> "TruncSeries":
         return TruncSeries([fn(c) for c in self.coefs])
 
     def lift(self) -> "TruncSeries":
         """Rational-coefficient series viewed in the ExpPoly ring."""
-        return TruncSeries([ExpPoly.const(c) for c in self.coefs])
+        return TruncSeries._of([ExpPoly.const(c) for c in self.coefs])
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
-        n = min(self.order, other.order)
-        return TruncSeries([self.coefs[k] + other.coefs[k] for k in range(n + 1)])
+        pairs = zip(self._nums, other._nums)  # to the smaller order
+        d1, d2 = self._den, other._den
+        if d1 == d2:
+            return TruncSeries._of([a + b for a, b in pairs], d1)
+        return TruncSeries._of([a * d2 + b * d1 for a, b in pairs], d1 * d2)
 
     def __sub__(self, other: "TruncSeries") -> "TruncSeries":
-        n = min(self.order, other.order)
-        return TruncSeries([self.coefs[k] - other.coefs[k] for k in range(n + 1)])
+        return self + (-other)
 
     def __neg__(self) -> "TruncSeries":
-        return TruncSeries([-c for c in self.coefs])
+        return TruncSeries._of([-c for c in self._nums], self._den)
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         n = min(self.order, other.order)
-        zero = _zero_like(self.coefs[0])
-        out = [zero * 1 for _ in range(n + 1)]
-        for i, ci in enumerate(self.coefs[: n + 1]):
-            if not ci:
-                continue
-            for j in range(n + 1 - i):
-                cj = other.coefs[j]
-                out[i + j] = out[i + j] + ci * cj
-        return TruncSeries(out)
+        x, y = self._nums, other._nums
+        out = [x[0] * 0] * (n + 1)
+        for i, xi in enumerate(x[: n + 1]):
+            if xi:
+                for j, yj in enumerate(y[: n + 1 - i]):
+                    if yj:
+                        out[i + j] = out[i + j] + xi * yj
+        return TruncSeries._of(out, self._den * other._den)
 
     def scale(self, c) -> "TruncSeries":
         """Coefficient-wise multiplication by a fixed ring element."""
@@ -174,52 +190,59 @@ class TruncSeries:
 
     def shift(self, k: int) -> "TruncSeries":
         """Multiply by t^k; the result is exact to order + k."""
-        z = _zero_like(self.coefs[0])
-        return TruncSeries((z,) * k + self.coefs)
+        return TruncSeries._of((self._nums[0] * 0,) * k + self._nums, self._den)
 
     def shift_down(self, k: int = 1) -> "TruncSeries":
         """Divide by t^k, requiring the low-order coefficients to vanish."""
-        if any(self.coefs[:k]):
+        if any(self._nums[:k]):
             raise DomainError(f"series not divisible by t^{k}")
-        return TruncSeries(self.coefs[k:])
+        return TruncSeries._of(self._nums[k:], self._den)
 
     def divide(self, other: "TruncSeries") -> "TruncSeries":
-        """self / other; the constant term of `other` must be invertible."""
+        """self / other; the constant term of `other` must be invertible.
+
+        Fraction-free: u Y_0 = d > 0 for the divisor's numerators Y (u is
+        1/Y_0 for an ExpPoly, the sign of Y_0 for an int), and with
+        Q_k = d^(k+1) [t^k] (X/Y) = d^k u X_k - sum_{j=1..k} d^(j-1) u Y_j Q_(k-j)
+        the quotient is Q_k d^(n-k) dY over d^(n+1) dX.
+        """
         n = min(self.order, other.order)
-        inv0 = _invert_coef(other.coefs[0])
+        y0 = other._nums[0]
+        if not y0:
+            raise DomainError("division by a series with zero constant term")
+        u, d = (y0.inverse(), 1) if isinstance(y0, ExpPoly) else (y0 // abs(y0), abs(y0))
+        x = [c * (u * d**k) for k, c in enumerate(self._nums[: n + 1])]
+        y = [c * (u * d**j) for j, c in enumerate(other._nums[1 : n + 1])]  # d^(j-1) u Y_j at j - 1
         out = []
         for k in range(n + 1):
-            acc = self.coefs[k]
-            for j in range(1, k + 1):
-                acc = acc - other.coefs[j] * out[k - j]
-            out.append(acc * inv0)
-        return TruncSeries(out)
+            acc = x[k]
+            for j, yj in enumerate(y[:k]):
+                if yj:
+                    acc = acc - yj * out[k - 1 - j]
+            out.append(acc)
+        nums = [q * (d ** (n - k) * other._den) for k, q in enumerate(out)]
+        return TruncSeries._of(nums, d ** (n + 1) * self._den)
 
     def deriv_t(self) -> "TruncSeries":
-        if self.order == 0:
-            return TruncSeries([_zero_like(self.coefs[0])])
-        return TruncSeries([self.coefs[k] * k for k in range(1, self.order + 1)])
+        nums = [c * k for k, c in enumerate(self._nums)]  # nums[0] is the ring's zero
+        return TruncSeries._of(nums[1:] or nums[:1], self._den)
 
     def integrate_t(self) -> "TruncSeries":
         """Antiderivative in t with zero constant term; gains one order."""
-        zero = _zero_like(self.coefs[0])
-        out = [zero]
-        for k, c in enumerate(self.coefs):
-            out.append(c * Fraction(1, k + 1))
-        return TruncSeries(out)
+        return TruncSeries([self._nums[0] * 0] + [c * Fraction(1, k + 1) for k, c in enumerate(self.coefs)])
 
     def log(self) -> "TruncSeries":
         """ln(self) for a series with constant term 1, via ln(f)' = f'/f."""
-        if self.coefs[0] != 1:
+        if self.coef(0) != 1:
             raise DomainError("log requires constant term 1")
         if self.order == 0:
-            return TruncSeries([_zero_like(self.coefs[0])])
+            return TruncSeries._of([self._nums[0] * 0])
         return self.deriv_t().divide(self.truncate(self.order - 1)).integrate_t()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        return self.coefs == other.coefs
+        return self._den == other._den and self._nums == other._nums
 
     def __repr__(self) -> str:
         return "TruncSeries([" + ", ".join(repr(c) for c in self.coefs) + "])"

@@ -224,14 +224,19 @@ def measure_to_probability(kind: ScanKind, N: int, w) -> ProbValue:
     c_N (pc-nm1, pc-3, p-3) divided by the free simplex density
     (x+v)^(v-1)/(v-1)! of v spacings (N on the circle, N+1 on the line), at
     x = 2/g - v for the piece variable g (1 - w for pc-nm1, w otherwise).
+    With g = a/b, x + v = 2b/a, so the survival is the one Fraction
+    closed * (v-1)! * a^(v-1) / (2b)^(v-1).
     Requires w strictly inside the non-saturated regime.
     """
     w = ScanQuery(kind, N, w).w
     if not 0 < w < threshold(kind, N):
         raise DomainError(f"w={w} is not strictly inside the valid regime for {kind.value}")
     v = N + (kind is ScanKind.P_3)
-    x = 2 / _piece(kind, w) - v
-    survival = _CLOSED[kind](N, x) * math.factorial(v - 1) / (x + v) ** (v - 1)
+    g = _piece(kind, w)
+    a, b = g.numerator, g.denominator
+    closed = _CLOSED[kind](N, Fraction(2 * b - v * a, a))
+    survival = Fraction(closed.numerator * math.factorial(v - 1) * a ** (v - 1),
+                        closed.denominator * (2 * b) ** (v - 1))
     return ProbValue(1 - survival, survival, Regime.BELOW_THRESHOLD, 1)
 
 

@@ -106,3 +106,20 @@ def test_render_deterministic():
 def test_canonical_drops_zero_terms():
     x = ExpPoly({(1, 1): Fraction(1), (2, 0): Fraction(0)})
     assert x.terms == {(1, 1): Fraction(1)}
+
+
+# cheaper to draw than small_polys: int-ratio coefficients, terms on one key summed
+int_ratio_polys = st.dictionaries(
+    st.tuples(st.integers(min_value=0, max_value=3), st.integers(min_value=-2, max_value=2)),
+    st.builds(Fraction, st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=4)),
+    max_size=4,
+).map(ExpPoly)
+
+
+@given(int_ratio_polys, int_ratio_polys, int_ratio_polys)
+def test_equal_values_by_different_routes_share_hash_and_terms(x, y, z):
+    # the canonical form is unique: equal values hold equal numerators over one denominator
+    for left, right in (((x * y) * z, x * (y * z)), (x + y - y, x)):
+        assert left == right
+        assert hash(left) == hash(right)
+        assert left.terms == right.terms

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import scanstat.genseries as gs
 from scanstat.exactnum import DomainError
@@ -264,6 +266,27 @@ class TestSeriesOps:
         series = gs.riccati_solution(3)
         with pytest.raises(TypeError):
             series.coefs[1] = ONE
+
+
+coef = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+rational_series = st.lists(coef, min_size=1, max_size=6).map(gs.TruncSeries)
+unit_series = st.tuples(coef.filter(bool), st.lists(coef, max_size=5)).map(lambda c: gs.TruncSeries([c[0], *c[1]]))
+log_series = st.lists(coef, max_size=5).map(lambda cs: gs.TruncSeries([Fraction(1), *cs]))
+
+
+class TestRationalSeriesAgreeWithTheirExpPolyImages:
+    """Int numerators over one denominator and ExpPoly coefficients share one
+    convolution and one division; their results must be the same values."""
+
+    @given(rational_series, unit_series)
+    def test_sum_product_and_quotient(self, a, b):
+        assert (a - b).lift() == a.lift() - b.lift()
+        assert (a * b).lift() == a.lift() * b.lift()
+        assert a.divide(b).lift() == a.lift().divide(b.lift())
+
+    @given(log_series)
+    def test_log(self, a):
+        assert a.log().lift() == a.lift().log()
 
 
 @pytest.mark.parametrize(
