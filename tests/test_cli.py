@@ -363,6 +363,11 @@ GOLDEN_STDOUT = [
     # the two commands of the benchmark's verify-exact pass
     (("verify-series", "--order", "16", "--format", "json"), "2ca22bcdcc684518"),
     (("cross-check", "--n-max", "40", "--format", "json"), "0c7877e223dd3169"),
+    # the window samplers at 10^6 samples
+    (("simulate", "--kind", "linear", "--N", "8", "--k", "3", "--w", "1/20,1/10,3/20,1/5",
+      "--samples", "1000000", "--seed", "1", "--format", "json"), "9aace824a582c82f"),
+    (("simulate", "--kind", "circular", "--N", "8", "--k", "3", "--w", "1/20,1/10,3/20,1/5",
+      "--samples", "1000000", "--seed", "1", "--format", "json"), "d1cfe970b06c2987"),
 ]
 
 
