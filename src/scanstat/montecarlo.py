@@ -5,7 +5,12 @@ This is the only module that imports numpy; the exact layers never load it.
 Every estimate is a pure function of (seed, samples), reproducible bit for
 bit, and a negative seed is a DomainError.  Every sampler draws whole rows in
 order from the first child of SeedSequence(seed), and _chunked_count sweeps
-the draw in blocks of rows, so no estimate depends on the block size.
+the draw in blocks of rows, so no estimate depends on the block size.  A
+call allocates its buffers once, at its first block: _chunked_count refills
+one draw buffer in place, and the per-block routines write into the arrays
+of the call's _Scratch, so no block allocates anything larger than a row
+count of scalars and a call's speed does not depend on what the process
+freed before it.
 Confidence intervals are Wilson score intervals, which behave correctly near
 0 and 1 where the saturation tests live.
 
@@ -112,17 +117,33 @@ def w_circular(points, k: int) -> float:
     return min(best, wrap)
 
 
-def _w_batch_from_points(points: np.ndarray, k: int, circular: bool) -> np.ndarray:
+class _Scratch(dict):
+    """The arrays of one sampler call, by name: the first request for a name
+    allocates it at the call's first block, which is its largest, and every
+    later request returns it cut to that block's shape."""
+
+    def __call__(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        if name not in self:
+            self[name] = np.empty(shape, dtype)
+        return self[name][tuple(slice(n) for n in shape)]
+
+
+def _w_batch_from_points(points: np.ndarray, k: int, circular: bool, scratch: _Scratch | None = None) -> np.ndarray:
     """Minimum k-point window width of each row: a running minimum over the
-    n-k+1 column differences of the sorted rows, and the k-1 wrap differences."""
-    xs = np.sort(np.atleast_2d(points), axis=1)
-    n = xs.shape[1]
-    w = xs[:, k - 1] - xs[:, 0]
+    n-k+1 column differences of the rows, which it sorts in place, and the
+    k-1 wrap differences.  The widths and differences live in scratch."""
+    xs = np.atleast_2d(points)
+    xs.sort(axis=1)
+    scratch = _Scratch() if scratch is None else scratch
+    m, n = xs.shape
+    w = np.subtract(xs[:, k - 1], xs[:, 0], out=scratch("w", (m,)))
+    diff = scratch("diff", (m,))
     for i in range(1, n - k + 1):
-        np.minimum(w, xs[:, i + k - 1] - xs[:, i], out=w)
+        np.minimum(w, np.subtract(xs[:, i + k - 1], xs[:, i], out=diff), out=w)
     if circular:
         for i in range(k - 1):
-            np.minimum(w, xs[:, i] + 1.0 - xs[:, n - k + 1 + i], out=w)
+            np.add(xs[:, i], 1.0, out=diff)
+            np.minimum(w, np.subtract(diff, xs[:, n - k + 1 + i], out=diff), out=w)
     return w
 
 
@@ -130,14 +151,20 @@ def _seeded_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
 
 
-def _chunked_count(rng, samples: int, count_chunk, chunk: int):
-    """Sum of count_chunk(rng, m) over chunks of m <= chunk draws, `samples` in all."""
+def _chunked_count(fill, samples: int, width: int, count_block, chunk: int):
+    """Sum of count_block(block) over blocks of m <= chunk rows, `samples` rows
+    in all: each block is the first m rows of one (chunk, width) buffer, which
+    fill(out=...) refills in place, as rng.random and rng.standard_exponential
+    do with the values a fresh (m, width) draw would hold."""
+    buffer = np.empty((min(chunk, samples), width))
     total = 0
     remaining = samples
     while remaining > 0:
         m = min(chunk, remaining)
         remaining -= m
-        total = total + count_chunk(rng, m)
+        block = buffer[:m]
+        fill(out=block)
+        total = total + count_block(block)
     return total
 
 
@@ -150,12 +177,14 @@ def empirical_cdf(config: SimConfig, kind: str, w_grid) -> list[CdfEstimate]:
     if bad:
         raise DomainError(f"w must lie in [0, 1], got {bad[0]}")
     grid = np.asarray([float(w) for w in widths])
+    scratch = _Scratch()
 
-    def count(rng, m):
-        w = _w_batch_from_points(rng.random((m, config.N)), config.k, kind == "circular")
-        return np.searchsorted(np.sort(w), grid, side="right")
+    def count(block):
+        w = _w_batch_from_points(block, config.k, kind == "circular", scratch)
+        w.sort()
+        return np.searchsorted(w, grid, side="right")
 
-    counts = _chunked_count(_seeded_rng(config.seed), config.samples, count, _ROW_BLOCK)
+    counts = _chunked_count(_seeded_rng(config.seed).random, config.samples, config.N, count, _ROW_BLOCK)
     out = []
     for wv, c in zip(grid, counts):
         lo, hi = wilson_interval(int(c), config.samples)
@@ -168,7 +197,7 @@ def empirical_cdf(config: SimConfig, kind: str, w_grid) -> list[CdfEstimate]:
 # ---------------------------------------------------------------------------
 
 
-def min_coverage_depth(starts: np.ndarray, arc_len: float) -> np.ndarray:
+def min_coverage_depth(starts: np.ndarray, arc_len: float, scratch: _Scratch | None = None) -> np.ndarray:
     """Minimum coverage depth over the circle, per row of arc start points.
 
     Each row places half-open arcs [s, s + arc_len) on the unit circle; an
@@ -185,21 +214,28 @@ def min_coverage_depth(starts: np.ndarray, arc_len: float) -> np.ndarray:
     at e_j do not), so the minimum over the N ends is the minimum over the
     circle.  That is O(N^2) comparisons per row, made column-wise over the
     block; on a 2-CPU host that is faster than an argsort sweep of the
-    endpoints below about N = 128.
+    endpoints below about N = 128.  The ends, wrap flags, columns, depths and
+    comparison masks live in scratch (a sampler passes its call's own).
     """
     starts = np.atleast_2d(starts)
-    n = starts.shape[1]
-    raw_ends = starts + arc_len
-    wrapped = raw_ends >= 1.0
-    ends = np.where(wrapped, raw_ends - 1.0, raw_ends)
+    scratch = _Scratch() if scratch is None else scratch
+    m, n = starts.shape
+    ends = np.add(starts, arc_len, out=scratch("ends", (m, n)))
+    wrapped = np.greater_equal(ends, 1.0, out=scratch("wrapped", (m, n), bool))
+    # subtracting the flag is ends - 1.0 where an end wraps and ends - 0.0 = ends elsewhere
+    np.subtract(ends, wrapped, out=ends)
     unwrapped = n - np.count_nonzero(wrapped, axis=1)
-    s_cols = np.ascontiguousarray(starts.T)
-    e_cols = np.ascontiguousarray(ends.T)
+    s_cols = scratch("s_cols", (n, m))
+    e_cols = scratch("e_cols", (n, m))
+    np.copyto(s_cols, starts.T)
+    np.copyto(e_cols, ends.T)
     # depth[j, row] is at most 2n - 1 before the unwrapped arcs come off
-    depth = np.zeros(e_cols.shape, dtype=np.min_scalar_type(2 * n))
+    depth = scratch("depth", (n, m), np.min_scalar_type(2 * n))
+    depth.fill(0)
+    mask = scratch("mask", (n, m), bool)
     for s, e in zip(s_cols, e_cols):
-        depth += s <= e_cols
-        depth += e > e_cols
+        depth += np.less_equal(s, e_cols, out=mask)
+        depth += np.greater(e, e_cols, out=mask)
     return depth.min(axis=0) - unwrapped
 
 
@@ -215,10 +251,12 @@ def coverage_dual(N: int, k: int, w: float, samples: int, seed: int = 0) -> CdfE
     arc_len = 1.0 - w
     need = N + 1 - k
 
-    def count(rng, m):
-        return int((min_coverage_depth(rng.random((m, N)), arc_len) >= need).sum())
+    scratch = _Scratch()
 
-    hits = _chunked_count(_seeded_rng(seed), samples, count, _ROW_BLOCK)
+    def count(block):
+        return int(np.count_nonzero(min_coverage_depth(block, arc_len, scratch) >= need))
+
+    hits = _chunked_count(_seeded_rng(seed).random, samples, N, count, _ROW_BLOCK)
     lo, hi = wilson_interval(hits, samples)
     return CdfEstimate(w, hits / samples, lo, hi, samples)
 
@@ -230,15 +268,11 @@ def coverage_dual(N: int, k: int, w: float, samples: int, seed: int = 0) -> CdfE
 _MIN_ORACLE_SAMPLES = 10**5
 # largest n the measure oracle samples
 ORACLE_N_MAX = 6
-# rows per block of the oracle's draw.  A block and its transposed copy are
-# live together, so 2^17 rows of ORACLE_N_MAX + 1 doubles peak near 14 MiB.
-# Freeing a 7 MB block also raises glibc's mmap threshold, which keeps the
-# window samplers' 4096-row temporaries on the heap: run after verify-measures
-# in one process, simulate at N = 8 and coverage_dual take about 60 and 160 ms
-# with single-digit minor faults, against about 100 and 300 ms with 27 000 and
-# 88 000 faults after 4096-row oracle blocks.  Blocks of 32 768 rows still keep
-# them on the heap; 8192-row blocks do not.
-_ORACLE_CHUNK = 131_072
+# rows per block of the oracle's draw, chosen for memory alone: a row holds
+# 7 drawn doubles, their transposed copy and 7 per-row vectors of _hits and
+# _bounds, about 170 bytes, so 2^15 rows keep 5.3 MiB of buffers for a call
+# (2^17 rows kept 21 MiB and counted no faster).
+_ORACLE_CHUNK = 32_768
 
 
 def _check_oracle_args(n_max: int, samples: int, seed: int) -> None:
@@ -272,29 +306,34 @@ def _variables(kind: MeasureKind, n: int) -> int:
     return n + 1 if kind is MeasureKind.C_LINEAR_GE else n
 
 
-def _bounds(cols: np.ndarray, n: int) -> dict[MeasureKind, np.ndarray]:
+def _bounds(cols: np.ndarray, n: int, scratch: _Scratch) -> dict[MeasureKind, np.ndarray]:
     """The pair-sum bound of every measure with cols.shape[0] variables, per column.
 
     One pass over the adjacent pairs: F's bound is the running max of its n-1
     chain pairs, A's that max with the wrap pair, B's the running min of all n
     cyclic pairs, and C's the running min of its interior pairs (+inf, so no
-    constraint, when it has none).
+    constraint, when it has none).  The bounds and pair sums live in scratch.
     """
+    m = cols.shape[1]
+    pair = scratch("pair", (m,))
     if cols.shape[0] == _variables(MeasureKind.C_LINEAR_GE, n):
-        c_bound = np.full(cols.shape[1], np.inf)
+        c_bound = scratch("c_bound", (m,))
+        c_bound.fill(np.inf)
         for i, j in _constraint_pairs(MeasureKind.C_LINEAR_GE, n):
-            np.minimum(c_bound, cols[i] + cols[j], out=c_bound)
+            np.minimum(c_bound, np.add(cols[i], cols[j], out=pair), out=c_bound)
         return {MeasureKind.C_LINEAR_GE: c_bound}
-    f_bound = np.zeros(cols.shape[1])
-    b_bound = np.full(cols.shape[1], np.inf)
+    f_bound = scratch("f_bound", (m,))
+    b_bound = scratch("b_bound", (m,))
+    f_bound.fill(0.0)
+    b_bound.fill(np.inf)
     for i, j in _constraint_pairs(MeasureKind.F_LINEAR, n):
-        pair = cols[i] + cols[j]
+        np.add(cols[i], cols[j], out=pair)
         np.maximum(f_bound, pair, out=f_bound)
         np.minimum(b_bound, pair, out=b_bound)
-    wrap = cols[n - 1] + cols[0]
+    wrap = np.add(cols[n - 1], cols[0], out=pair)
     np.minimum(b_bound, wrap, out=b_bound)
-    return {MeasureKind.F_LINEAR: f_bound, MeasureKind.A_CYCLIC: np.maximum(f_bound, wrap),
-            MeasureKind.B_CYCLIC_GE: b_bound}
+    a_bound = np.maximum(f_bound, wrap, out=scratch("a_bound", (m,)))
+    return {MeasureKind.F_LINEAR: f_bound, MeasureKind.A_CYCLIC: a_bound, MeasureKind.B_CYCLIC_GE: b_bound}
 
 
 def _estimate(hits: int, volume: float, samples: int) -> DensityEstimate:
@@ -303,18 +342,21 @@ def _estimate(hits: int, volume: float, samples: int) -> DensityEstimate:
     return DensityEstimate(value=hits / samples * volume, std_error=std_error, samples=samples)
 
 
-def _hits(cols: np.ndarray, n: int, sums: dict[MeasureKind, np.ndarray]) -> list[int]:
+def _hits(cols: np.ndarray, n: int, sums: dict[MeasureKind, np.ndarray], scratch: _Scratch) -> list[int]:
     """How many columns of cols are hits at each slice sum of each kind in sums,
-    every kind having cols.shape[0] variables; nothing outlives the call."""
-    total = 2.0 * cols.sum(axis=0)
-    bounds = _bounds(cols, n)
+    every kind having cols.shape[0] variables; the total, bounds, critical
+    sums and masks live in scratch."""
+    m = cols.shape[1]
+    total = np.sum(cols, axis=0, out=scratch("total", (m,)))
+    total *= 2.0
+    bounds = _bounds(cols, n, scratch)
+    critical = scratch("critical", (m,))
+    mask = scratch("mask", (m,), bool)
     hits = []
     for kind, s in sums.items():
-        critical = total / bounds[kind]
-        if kind in (MeasureKind.F_LINEAR, MeasureKind.A_CYCLIC):
-            hits.extend(np.count_nonzero(critical >= t) for t in s)
-        else:
-            hits.extend(np.count_nonzero(critical <= t) for t in s)
+        np.divide(total, bounds[kind], out=critical)
+        compare = np.greater_equal if kind in (MeasureKind.F_LINEAR, MeasureKind.A_CYCLIC) else np.less_equal
+        hits.extend(np.count_nonzero(compare(critical, t, out=mask)) for t in s)
     return hits
 
 
@@ -341,11 +383,15 @@ def _oracle(grids: dict[tuple[MeasureKind, int], list], samples: int, seed: int)
             raise DomainError(f"x={s.max() - v} is too large: the slice volume overflows a float") from None
         cells.setdefault((n, v), {})[kind] = s
 
-    def count(rng, m):
-        cols = np.ascontiguousarray(rng.standard_exponential((m, ORACLE_N_MAX + 1)).T)
-        return np.asarray([h for (n, v), sums in cells.items() for h in _hits(cols[:v], n, sums)])
+    scratch = _Scratch()
 
-    hits = iter(_chunked_count(_seeded_rng(seed), samples, count, _ORACLE_CHUNK).tolist())
+    def count(block):
+        cols = scratch("cols", block.shape[::-1])
+        np.copyto(cols, block.T)
+        return np.asarray([h for (n, v), sums in cells.items() for h in _hits(cols[:v], n, sums, scratch)])
+
+    draw = _seeded_rng(seed).standard_exponential
+    hits = iter(_chunked_count(draw, samples, ORACLE_N_MAX + 1, count, _ORACLE_CHUNK).tolist())
     return {(kind, n): [_estimate(next(hits), volume, samples) for volume in volumes[kind, n]]
             for (n, _), sums in cells.items() for kind in sums}
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -169,6 +170,18 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert err.startswith("error: out of memory") and err.count("\n") == 1
+
+    def test_a_block_past_the_address_space_exits_2(self):
+        # the first block of this draw is 10 rows of 10^8 doubles, 8 GB; the
+        # child alone runs under a 2 GiB address-space cap, so it fails there
+        # to allocate instead of taking the host's memory
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (2**31, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+        argv = [sys.executable, "-m", "scanstat.cli", "simulate", "--kind", "linear", "--N", "100000000",
+                "--k", "3", "--w", "1/10", "--samples", "10"]
+        proc = subprocess.run(argv, env=_src_env(), capture_output=True, text=True, preexec_fn=cap_address_space)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: out of memory for this input\n")
 
     def test_verification_failure_exits_3(self, capsys):
         failing = Report("demo")

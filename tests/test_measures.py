@@ -179,8 +179,9 @@ class TestDensityOracle:
     @pytest.mark.parametrize("n", [2, 5])
     @pytest.mark.parametrize("kind", list(MeasureKind))
     def test_estimates_ignore_block_size(self, monkeypatch, kind, n):
-        # two blocks at the default size, the second partial; 140 at 1000 rows
-        samples = mc._ORACLE_CHUNK + 8_193
+        # four blocks at the default size, the last partial, and at least the
+        # oracle's 10^5 samples; 107 blocks at 1000 rows
+        samples = 3 * mc._ORACLE_CHUNK + 8_193
         xs = ms.interior_grid(kind, n, 3)
         v = n + 1 if kind is MeasureKind.C_LINEAR_GE else n
         # reference: every point's pair constraints read directly off the first
@@ -286,8 +287,9 @@ def test_verify_measures_draws_once(monkeypatch, capsys):
 
 
 def test_rows_ignore_block_size(monkeypatch):
-    # two blocks at the default size, the second partial; 140 at 1000 rows
-    samples = mc._ORACLE_CHUNK + 8_193
+    # four blocks at the default size, the last partial, and at least the
+    # oracle's 10^5 samples; 107 blocks at 1000 rows
+    samples = 3 * mc._ORACLE_CHUNK + 8_193
     default = mc.oracle_rows(5, samples, seed=7)
     monkeypatch.setattr(mc, "_ORACLE_CHUNK", 1000)
     assert mc.oracle_rows(5, samples, seed=7) == default
@@ -314,8 +316,10 @@ def test_gate_fails_on_one_cell_scaled_by_one_percent(monkeypatch, kind, n):
 
 
 def test_oracle_memory_stays_within_one_block():
-    # numpy reports its buffers to tracemalloc; a design that keeps its draw,
-    # column or pair buffers across blocks peaks near 43 MiB here
+    # numpy reports its buffers to tracemalloc; the draw, column and pair
+    # buffers persist across blocks but are sized to one block (about 6 MiB
+    # here), while a design that holds every block's buffers at once peaks
+    # near 43 MiB
     tracemalloc.start()
     try:
         mc.oracle_rows(5, 250_000, seed=42)
