@@ -29,9 +29,6 @@ EXIT_PIPE = 1
 EXIT_USAGE = 2
 EXIT_VERIFY = 3
 
-# cross-check tests piece-junction continuity up to this N; the report names the cap
-_JUNCTION_N_MAX = 10
-
 _KINDS = {k.value: k for k in scanprob.ScanKind}
 
 
@@ -149,8 +146,7 @@ def _report_exit(report, fmt: str, rows: list[dict] | None = None) -> int:
 
 
 def _cmd_verify_series(args) -> int:
-    report = genseries.verify_series_suite(args.order)
-    return _report_exit(report, args.format)
+    return _report_exit(genseries.verify_series_suite(args.order), args.format)
 
 
 def _cmd_verify_measures(args) -> int:
@@ -171,59 +167,7 @@ def _cmd_verify_measures(args) -> int:
 
 
 def _cmd_cross_check(args) -> int:
-    from .report import Report
-
-    if args.n_max < 3 or args.grid < 1:
-        raise DomainError(f"--n-max must be >= 3 and --grid >= 1, got {args.n_max} and {args.grid}")
-    report = Report("cross-check")
-    grid = [Fraction(j, 2 * (args.grid + 1)) for j in range(1, args.grid + 1)]
-
-    overlap_ok = all(scanprob.pc_nm1(4, w).p == scanprob.pc_3(4, w).p for w in grid)
-    report.add("overlap_pc_nm1_equals_pc_3_at_N4", overlap_ok, {"points": len(grid)})
-
-    # the classical N = 3 forms hold on all of [0, 1], saturated widths included
-    widths = [Fraction(j, args.grid + 1) for j in range(1, args.grid + 1)]
-    anchor_miss = next(((kind.value, str(w)) for kind in scanprob.ScanKind for w in widths
-                        if scanprob._cdf(kind, 3, w).p != scanprob.anchor_n3(kind, w)), None)
-    report.add("classical_anchors_at_N3", anchor_miss is None, {"points": len(widths)},
-               "" if anchor_miss is None else f"discrepancy {anchor_miss}")
-
-    for kind in scanprob.ScanKind:
-        mismatch = None
-        for N in range(3, args.n_max + 1):
-            thr = scanprob.threshold(kind, N)
-            upper = min(thr, Fraction(1))
-            for j in range(1, args.grid + 1):
-                w = upper * Fraction(j, args.grid + 1)
-                if not 0 < w < thr:
-                    continue
-                direct = scanprob._cdf(kind, N, w).p
-                via_measure = scanprob.measure_to_probability(kind, N, w).p
-                if direct != via_measure:
-                    mismatch = (N, str(w), str(direct), str(via_measure))
-                    break
-            if mismatch:
-                break
-        report.add(
-            f"pathway_equivalence_{kind.value}",
-            mismatch is None,
-            {"n_max": args.n_max},
-            "exact agreement" if mismatch is None else f"discrepancy {mismatch}",
-        )
-
-    junction_n_max = min(args.n_max, _JUNCTION_N_MAX)
-    boundary_ok = True
-    for kind in scanprob.ScanKind:
-        for N in range(3, junction_n_max + 1):
-            for j in range(2, 2 * N):
-                try:
-                    gap = scanprob.floor_boundary_gap(kind, N, j)
-                except DomainError:
-                    continue
-                if gap != 0:
-                    boundary_ok = False
-    report.add("piece_boundary_continuity", boundary_ok, {"n_max": args.n_max, "junction_n_max": junction_n_max})
-    return _report_exit(report, args.format)
+    return _report_exit(scanprob.cross_check_report(args.n_max, args.grid), args.format)
 
 
 # ---------------------------------------------------------------------------

@@ -649,7 +649,9 @@ def verify_lagrange(n_max: int, samples: int = 120, seed: int = 20260809) -> Rep
 
 
 def verify_series_suite(order: int) -> Report:
-    """Everything the transform-domain chain promises, in one report."""
+    """Everything the transform-domain chain promises, in one report; order is checked before any work."""
+    if order < 2:
+        raise DomainError(f"--order must be >= 2, got {order}")
     rep = Report("series")
     for sub in (
         verify_recursion_vs_closed_form(order),
@@ -658,6 +660,5 @@ def verify_series_suite(order: int) -> Report:
         verify_lagrange(min(order + 2, 12)),
         extraction_exponent_report(order),
     ):
-        for check in sub.checks:
-            rep.checks.append(check)
+        rep.checks.extend(sub.checks)
     return rep

@@ -32,7 +32,7 @@ to the same numbers normalizes the closed-form measures by the free simplex
 volume (measure_to_probability).  At N = 3 each CDF is also a classical result
 (anchor_n3): the sample range for p-3, the minimum circular spacing for pc-nm1
 and Stevens' arc containment for pc-3 (Glaz, Naus & Wallenstein, Scan
-Statistics, 2001), which cross-check compares with the kernel over [0, 1].
+Statistics, 2001).  cross_check_report compares the kernel with both.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from fractions import Fraction
 
 from .exactnum import DomainError, format_rational, half_binom
 from .measures import a_closed, b_closed, c_closed
+from .report import Report
 
 
 class ScanKind(Enum):
@@ -58,6 +59,8 @@ class Regime(Enum):
 
 
 def _check_N(N: int) -> None:
+    if not isinstance(N, int):
+        raise DomainError(f"N must be an int, got {N!r}")
     if N < 3:
         raise DomainError(f"N must be >= 3, got {N}")
 
@@ -72,7 +75,10 @@ class ScanQuery:
 
     def __post_init__(self):
         _check_N(self.N)
-        w = Fraction(self.w)
+        try:
+            w = Fraction(self.w)
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+            raise DomainError(f"w must be an exact rational, got {self.w!r}") from None
         if not 0 <= w <= 1:
             raise DomainError(f"w must lie in [0, 1], got {w}")
         object.__setattr__(self, "w", w)
@@ -298,11 +304,48 @@ def floor_boundary_gap(kind: ScanKind, N: int, j: int) -> Fraction:
     The active piece index floor(1/g) jumps at the piece variable g = 1/j
     (w = 1/j, or w = 1 - 1/j for the near-complete window); continuity means
     evaluating with either term count at the junction gives the same
-    probability.
+    probability.  No junction lies below j = 2.
     """
+    if j < 2:
+        raise DomainError(f"junction index j must be >= 2, got {j}")
     g = Fraction(1, j)
     w = ScanQuery(kind, N, _piece(kind, g)).w
     if not 0 < w < threshold(kind, N):
         raise DomainError(f"junction w={w} outside the valid regime")
     hi = _term_count(kind, g)
     return _sum(kind, N, w, hi).p - _sum(kind, N, w, hi - 1).p
+
+
+# piece-junction continuity is checked up to this N; the report names the cap
+_JUNCTION_N_MAX = 10
+
+
+def cross_check_report(n_max: int, grid: int) -> Report:
+    """The report of `scanstat cross-check`, on the steps j/(grid+1), j = 1..grid.
+
+    pc-nm1 = pc-3 at N = 4 on the half-steps; the kernel meets the N = 3 anchors
+    on the steps and the measure pathway on min(threshold, 1) times the steps for
+    N <= n_max; each junction 0 < w_j < threshold is continuous up to _JUNCTION_N_MAX."""
+    if n_max < 3 or grid < 1:
+        raise DomainError(f"--n-max must be >= 3 and --grid >= 1, got {n_max} and {grid}")
+    report = Report("cross-check")
+    steps = [Fraction(j, grid + 1) for j in range(1, grid + 1)]
+    overlap_ok = all(pc_nm1(4, s / 2).p == pc_3(4, s / 2).p for s in steps)
+    report.add("overlap_pc_nm1_equals_pc_3_at_N4", overlap_ok, {"points": len(steps)})
+    anchor_miss = next(((kind.value, str(s)) for kind in ScanKind for s in steps
+                        if _cdf(kind, 3, s).p != anchor_n3(kind, s)), None)
+    report.add("classical_anchors_at_N3", anchor_miss is None, {"points": len(steps)},
+               "" if anchor_miss is None else f"discrepancy {anchor_miss}")
+    for kind in ScanKind:
+        cells = ((N, upper * s) for N in range(3, n_max + 1) for upper in [min(threshold(kind, N), 1)] for s in steps)
+        pairs = ((N, w, _cdf(kind, N, w).p, measure_to_probability(kind, N, w).p) for N, w in cells)
+        mismatch = next(((N, str(w), str(direct), str(via)) for N, w, direct, via in pairs if direct != via), None)
+        report.add(f"pathway_equivalence_{kind.value}", mismatch is None, {"n_max": n_max},
+                   "exact agreement" if mismatch is None else f"discrepancy {mismatch}")
+    junction_n_max = min(n_max, _JUNCTION_N_MAX)
+    junctions = ((kind, N, j) for kind in ScanKind for N in range(3, junction_n_max + 1) for j in range(2, 2 * N)
+                 if 0 < _piece(kind, Fraction(1, j)) < threshold(kind, N))
+    gap_at = next(((kind.value, N, j) for kind, N, j in junctions if floor_boundary_gap(kind, N, j)), None)
+    report.add("piece_boundary_continuity", gap_at is None, {"n_max": n_max, "junction_n_max": junction_n_max},
+               "" if gap_at is None else f"nonzero gap at {gap_at}")
+    return report

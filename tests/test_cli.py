@@ -117,6 +117,14 @@ class TestErrors:
         assert out == ""
         assert err.startswith("error: --n-max must be >= ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("order", ["-1", "0", "1"])
+    def test_verify_series_order_below_2_exits_2_before_any_work(self, capsys, monkeypatch, order):
+        import scanstat.genseries as gs
+
+        monkeypatch.setattr(gs, "verify_recursion_vs_closed_form", lambda *a: pytest.fail("ran a check"))
+        code, out, err = run(capsys, "verify-series", "--order", order)
+        assert (code, out, err) == (2, "", f"error: --order must be >= 2, got {order}\n")
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -349,6 +357,32 @@ class TestVerifyCommands:
         checks = {c["name"]: c for c in json.loads(out)["report"]["checks"]}
         params = checks["piece_boundary_continuity"]["params"]
         assert params == {"n_max": n_max, "junction_n_max": junction_n_max}
+
+    def test_cross_check_evaluates_exactly_the_in_regime_junctions(self, capsys, monkeypatch):
+        sp = cli.scanprob
+        calls = []
+        real = sp.floor_boundary_gap
+        monkeypatch.setattr(sp, "floor_boundary_gap", lambda *a: calls.append(a) or real(*a))
+        code, _, _ = run(capsys, "cross-check", "--n-max", "12", "--grid", "2", "--format", "json")
+        assert code == 0
+        # junction j lies at the piece variable 1/j: w = 1/j, or 1 - 1/j for pc-nm1
+        want = [(kind, N, j) for kind in sp.ScanKind for N in range(3, 11) for j in range(2, 2 * N)
+                if 0 < sp._piece(kind, Fraction(1, j)) < sp.threshold(kind, N)]
+        assert len(want) == 163
+        assert calls == want
+
+    def test_cross_check_junction_error_exits_2(self, capsys, monkeypatch):
+        sp = cli.scanprob
+        real = sp.floor_boundary_gap
+
+        def gap(kind, N, j):
+            if (kind, N, j) == (sp.ScanKind.PC_3, 7, 4):
+                raise DomainError("junction kernel failed")
+            return real(kind, N, j)
+
+        monkeypatch.setattr(sp, "floor_boundary_gap", gap)
+        code, out, err = run(capsys, "cross-check", "--n-max", "12", "--grid", "2")
+        assert (code, out, err) == (2, "", "error: junction kernel failed\n")
 
 
 def test_parser_built_once_per_process(capsys):

@@ -229,11 +229,8 @@ class TestProperties:
         for kind in self.KINDS:
             for N in (3, 5, 8, 12):
                 for j in range(2, 2 * N):
-                    try:
-                        gap = sp.floor_boundary_gap(kind, N, j)
-                    except DomainError:
-                        continue
-                    assert gap == 0, (kind, N, j)
+                    if 0 < sp._piece(kind, F(1, j)) < sp.threshold(kind, N):
+                        assert sp.floor_boundary_gap(kind, N, j) == 0, (kind, N, j)
 
 
 # Hypothesis properties over rational widths with denominators up to 10^12, drawn
@@ -334,6 +331,31 @@ class TestTabulateAndQuery:
             assert len(checks) == 1
         with pytest.raises(DomainError, match="N must be >= 3"):
             sp.floor_boundary_gap(ScanKind.P_3, 2, 3)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: sp.evaluate(ScanQuery(ScanKind.PC_NM1, 5.0, F(1, 10))), "N must be an int, got 5.0"),
+            (lambda: sp.pc_3(5.0, F(1, 10)), "N must be an int, got 5.0"),
+            (lambda: sp.p_lin_3(5.5, F(1, 10)), "N must be an int, got 5.5"),
+            (lambda: sp.measure_to_probability(ScanKind.P_3, 5.5, F(1, 10)), "N must be an int, got 5.5"),
+            (lambda: sp.pc_nm1(5, float("nan")), "w must be an exact rational, got nan"),
+            (lambda: sp.evaluate(ScanQuery(ScanKind.PC_3, 5, float("inf"))), "w must be an exact rational, got inf"),
+            (lambda: sp.pc_nm1(5, None), "w must be an exact rational, got None"),
+            (lambda: sp.measure_to_probability(ScanKind.PC_3, 5, "1/0"), "w must be an exact rational, got '1/0'"),
+            (lambda: sp.anchor_n3(ScanKind.P_3, float("nan")), "w must be an exact rational, got nan"),
+            (lambda: sp.anchor_n3(ScanKind.PC_NM1, None), "w must be an exact rational, got None"),
+            (lambda: sp.floor_boundary_gap(ScanKind.PC_3, 5, 0), "junction index j must be >= 2, got 0"),
+            (lambda: sp.floor_boundary_gap(ScanKind.PC_NM1, 5, 1), "junction index j must be >= 2, got 1"),
+        ],
+        ids=["evaluate_float_N", "pc_3_float_N", "p_lin_3_fractional_N", "measure_fractional_N", "pc_nm1_nan_w",
+             "evaluate_inf_w", "pc_nm1_none_w", "measure_zero_denominator_w", "anchor_nan_w", "anchor_none_w",
+             "gap_j0", "gap_j1"],
+    )
+    def test_unusable_input_is_one_domain_error(self, call, message):
+        with pytest.raises(DomainError) as exc:
+            call()
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("N", [2, 1, 0])
     @pytest.mark.parametrize("kind", list(ScanKind))
