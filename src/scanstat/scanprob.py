@@ -12,18 +12,24 @@ All three take one path, evaluate, indexed by the piece variable g = 1 - w
 probability is a signed binomial sum of floor(1/g) terms (one more for p-3);
 the pieces meet at g = 1/j, and the measure pathway evaluates at x = 2/g - v.
 
-Binomials and powers are plain math.comb and **.  Below the threshold every
+Binomials are math.comb and powers **.  Below the threshold every
 binomial C(N, m) a loop reaches has an integer m >= 1: m = p <= floor(1/g) <
 N/2 in pc-nm1, and m = 3p-N+d >= (N+1)/2 in the three-point loops, which start
-at p = ceil((N+1)/2); math.comb gives 0 for m > N and that term is skipped.
-No zero base meets a negative exponent, and Fraction(0)**0 == 1.  Inputs
-outside this domain raise rather than silently giving 0.
+at p = ceil((N+1)/2); C(N, m) is 0 for m > N and that term is skipped.
+No zero base meets a negative exponent, and 0**0 == 1.  Inputs outside this
+domain raise rather than silently giving 0.
 
 With w = a/b each base 1 - k w is (b - k a)/b and a term's exponents sum to
-N-1 (circular) or N (linear), so _finish sums integers over b^(N-1)
-(pc-nm1), 2 b^(N-1) (pc-3, whose N/2 term halves) or (N+2) b^N (p-3).  The
-one exponent -1 that survives the binomial gate cancels: against 1 - N(1-w)
-in pc-nm1, and at C(N, N) in pc-3, where (Nw-3)/(1-Nw/3) = -3.
+N-1 (circular) or N (linear), so every term is an integer over b^(N-1)
+(pc-nm1), 2 b^(N-1) (pc-3, whose N/2 term halves) or b^N (p-3), and _finish
+sums integer numerators.  p-3 builds its numerators over b^N without a
+Fraction: the half term's 2 C(N, N/2)/(N+2) is the Catalan number
+C(N, N/2)/(N/2+1), the up to three terms of each p share one power pair of
+b - (p-1)a and b - (N-p-1)a (as measures._block does), and the loop steps
+C(N, m) to C(N, m+1).  pc-nm1 and pc-3 build Fraction terms, which _cleared
+puts over their denominator; a term it does not clear raises ArithmeticError.
+The one exponent -1 that survives the binomial gate cancels: against
+1 - N(1-w) in pc-nm1, and at C(N, N) in pc-3, where (Nw-3)/(1-Nw/3) = -3.
 Every value is an exact rational; float(p) is correctly rounded.
 
 Constructing a ScanQuery is the one check on (N, w); every entry point builds
@@ -75,6 +81,8 @@ class ScanQuery:
 
     def __post_init__(self):
         _check_N(self.N)
+        if isinstance(self.w, float):  # 0.1 would be taken at its binary value, not as 1/10
+            raise DomainError(f"w must be an exact rational, got {self.w}")
         try:
             w = Fraction(self.w)
         except (TypeError, ValueError, OverflowError, ZeroDivisionError):
@@ -103,21 +111,26 @@ def threshold(kind: ScanKind, N: int) -> Fraction:
 
 
 def _common_den(kind: ScanKind, N: int, w: Fraction) -> int:
-    """b^(N-1) for pc-nm1, 2 b^(N-1) for pc-3, (N+2) b^N for p-3, with w = a/b in lowest terms."""
+    """b^(N-1) for pc-nm1, 2 b^(N-1) for pc-3, b^N for p-3, with w = a/b in lowest terms."""
     b = w.denominator
-    return {ScanKind.PC_NM1: 1, ScanKind.PC_3: 2, ScanKind.P_3: (N + 2) * b}[kind] * b ** (N - 1)
+    return {ScanKind.PC_NM1: 1, ScanKind.PC_3: 2, ScanKind.P_3: b}[kind] * b ** (N - 1)
 
 
-def _finish(terms: list, sign: int, den: int) -> ProbValue:
-    """Sum the terms as ints over den, which clears each one (module docstring); else raise."""
-    total = 0
+def _cleared(terms: list, den: int) -> list[int]:
+    """Fraction terms as int numerators over den, which clears each one (module docstring); else raise."""
+    nums = []
     for t in terms:
         q, r = divmod(den, t.denominator)
         if r:
             raise ArithmeticError(f"term denominator {t.denominator} does not divide {den}")
-        total += t.numerator * q
-    survival = Fraction(sign * total, den)
-    return ProbValue(1 - survival, survival, Regime.BELOW_THRESHOLD, sum(1 for t in terms if t != 0))
+        nums.append(t.numerator * q)
+    return nums
+
+
+def _finish(nums: list[int], sign: int, den: int) -> ProbValue:
+    """The signed sum of int numerators over den; active_terms counts the nonzero ones."""
+    survival = Fraction(sign * sum(nums), den)
+    return ProbValue(1 - survival, survival, Regime.BELOW_THRESHOLD, sum(1 for t in nums if t))
 
 
 def _pc_nm1_terms(N: int, w: Fraction, p_max: int) -> list:
@@ -153,19 +166,27 @@ def _pc_3_terms(N: int, w: Fraction, p_max: int) -> list:
     return terms
 
 
-def _p_lin_3_terms(N: int, w: Fraction, p_max: int) -> list:
-    terms = []
+def _p_lin_3_terms(N: int, w: Fraction, p_max: int) -> list[int]:
+    """The terms as int numerators over _common_den = b^N, with w = a/b."""
+    a, b = w.numerator, w.denominator
+    nums = []
     half = half_binom(N)
     if half:
-        terms.append(-2 * half * (1 - (N // 2 - 1) * w) ** N / (N + 2))
-    for p in range(math.ceil(Fraction(N + 1, 2)), _last_p(N, p_max) + 1):
-        for d, cf in ((-1, 1), (0, -2), (1, 1)):
-            m = 3 * p - N + d
-            c = math.comb(N, m)
-            if not c:
-                continue
-            terms.append(cf * c * (1 - (p - 1) * w) ** m * (1 - (N - p - 1) * w) ** (2 * N - 3 * p - d))
-    return terms
+        # 2 C(N, N/2) / (N+2) is the Catalan number C(N, N/2) / (N/2 + 1)
+        nums.append(-(half // (N // 2 + 1)) * (b - (N // 2 - 1) * a) ** N)
+    # the terms d = -1, 0, 1 of p are cf C(N, m) x^m y^(N-m), m = 3p-N+d >= 1, so m runs through
+    # consecutive ints and C(N, m) is stepped, not recomputed.  C(N, m) vanishes past m = N: d = 1
+    # drops where 2N-3p = 0 and d = 0, 1 where 2N-3p = -1 (N = 4, p = 3), so y's exponent stays >= 0
+    p_lo = (N + 2) // 2
+    c = math.comb(N, 3 * p_lo - N - 1)
+    for p in range(p_lo, _last_p(N, p_max) + 1):
+        x, y = b - (p - 1) * a, b - (N - p - 1) * a
+        m_lo, m_hi = 3 * p - N - 1, min(3 * p - N + 1, N)
+        core = x**m_lo * y ** (N - m_hi)  # the one power pair the terms of p share
+        for cf, m in zip((1, -2, 1), range(m_lo, m_hi + 1)):
+            nums.append(core * (cf * c * x ** (m - m_lo) * y ** (m_hi - m)))
+            c = c * (N - m) // (m + 1)
+    return nums
 
 
 _TERMS = {ScanKind.PC_NM1: _pc_nm1_terms, ScanKind.PC_3: _pc_3_terms, ScanKind.P_3: _p_lin_3_terms}
@@ -183,7 +204,11 @@ def _term_count(kind: ScanKind, g: Fraction) -> int:
 
 def _sum(kind: ScanKind, N: int, w: Fraction, count: int) -> ProbValue:
     sign = 1 if kind is ScanKind.PC_NM1 else (-1) ** (N - 1)
-    return _finish(_TERMS[kind](N, w, count), sign, _common_den(kind, N, w))
+    den = _common_den(kind, N, w)
+    nums = _TERMS[kind](N, w, count)
+    if kind is not ScanKind.P_3:  # the circular builders still return Fraction terms
+        nums = _cleared(nums, den)
+    return _finish(nums, sign, den)
 
 
 def evaluate(query: ScanQuery) -> ProbValue:

@@ -176,29 +176,11 @@ def test_criterion_7_property_sweeps():
 
 
 def test_criterion_8_pathway_equivalence():
-    outcomes = []
+    checks = {c.name: c for c in sp.cross_check_report(12, 20).checks}
     for kind in ScanKind:
-        mismatch = None
-        for N in range(3, 13):
-            thr = sp.threshold(kind, N)
-            upper = min(thr, F(1))
-            for j in range(1, 21):
-                w = upper * F(j, 21)
-                if not 0 < w < thr:
-                    continue
-                direct = sp._cdf(kind, N, w).p
-                via = sp.measure_to_probability(kind, N, w).p
-                if direct != via:
-                    mismatch = (N, w, direct, via)
-                    break
-            if mismatch:
-                break
-        outcomes.append((kind, mismatch))
-        print(
-            f"  pathway {kind.value}: "
-            + ("exact agreement (N<=12, 20 widths each)" if mismatch is None else f"DISCREPANCY {mismatch}")
-        )
-    assert all(m is None for _, m in outcomes), outcomes
+        check = checks[f"pathway_equivalence_{kind.value}"]
+        print(f"  pathway {kind.value}: {check.detail} (N<=12, 20 widths each)")
+        assert check.passed, check.detail
     _announce(8, "normalized-measure pathway reproduces all three formulas exactly")
 
 

@@ -2,6 +2,7 @@ import math
 import types
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -347,10 +348,13 @@ class TestTabulateAndQuery:
             (lambda: sp.anchor_n3(ScanKind.PC_NM1, None), "w must be an exact rational, got None"),
             (lambda: sp.floor_boundary_gap(ScanKind.PC_3, 5, 0), "junction index j must be >= 2, got 0"),
             (lambda: sp.floor_boundary_gap(ScanKind.PC_NM1, 5, 1), "junction index j must be >= 2, got 1"),
+            (lambda: sp.pc_3(5, 0.1), "w must be an exact rational, got 0.1"),
+            (lambda: sp.evaluate(ScanQuery(ScanKind.P_3, 5, np.float64(0.1))), "w must be an exact rational, got 0.1"),
+            (lambda: sp.measure_to_probability(ScanKind.PC_NM1, 5, 0.5), "w must be an exact rational, got 0.5"),
         ],
         ids=["evaluate_float_N", "pc_3_float_N", "p_lin_3_fractional_N", "measure_fractional_N", "pc_nm1_nan_w",
              "evaluate_inf_w", "pc_nm1_none_w", "measure_zero_denominator_w", "anchor_nan_w", "anchor_none_w",
-             "gap_j0", "gap_j1"],
+             "gap_j0", "gap_j1", "pc_3_float_w", "evaluate_numpy_float_w", "measure_dyadic_float_w"],
     )
     def test_unusable_input_is_one_domain_error(self, call, message):
         with pytest.raises(DomainError) as exc:
